@@ -6,7 +6,7 @@ channel peaks, and writes the ground-truth table that the surrogate trains on.
 
 import numpy as np
 
-from fem_surrogate import beam, surrogate
+from fem_surrogate import beam, dataset, surrogate
 
 spec = beam.default_spec()
 damping = beam.default_damping(spec)
@@ -24,7 +24,7 @@ for c, name in enumerate(("ux_max", "uy_max", "uz_max")):
     print(f"  {name}: range [{y.min():.3e}, {y.max():.3e}] m; prominent peaks: {locs}")
 
 out = "beam_sweep.csv"
-table.write_csv(out)
+dataset.write_csv(out, table.freq_hz, outputs)
 print(f"\nwrote {out} ({len(table.freq_hz)} rows, schema freq_hz,ux_max,uy_max,uz_max)")
 
 f1 = beam.natural_frequencies(spec, 50.0)[0]

@@ -16,10 +16,9 @@ print(f"oscillator: m={params.mass} kg, c={params.damping} N*s/m, "
 print(f"natural frequency f0 = {params.omega0 / (2 * np.pi):.4f} Hz")
 print(f"response peak at    f = {osc.peak_frequency_hz(params):.4f} Hz")
 
-samples = osc.sweep_oscillator(params, grid)
-amps = np.array([s.outputs[0] for s in samples])
+amps = osc.sweep_oscillator(params, grid)[:, 0]
 i_max = int(np.argmax(amps))
-print(f"\nsweep of {len(samples)} points on [{grid.values[0]}, {grid.values[-1]}] Hz")
+print(f"\nsweep of {len(grid)} points on [{grid.values[0]}, {grid.values[-1]}] Hz")
 print(f"max sampled amplitude {amps[i_max]:.5e} m at {grid.values[i_max]:.4f} Hz")
 print(f"static limit F0/k = {params.force_amplitude / params.stiffness:.5e} m")
 
@@ -34,5 +33,5 @@ for f in (1.0, 4.0, float(grid.values[i_max]), 8.0):
           f"integrated {integrated:.6e}  rel dev {abs(integrated - closed) / closed:.2e}")
 
 out = "oscillator_sweep.csv"
-dataset.write_csv(samples, out)
-print(f"\nwrote {out} ({len(samples)} rows, schema freq_hz,amplitude)")
+dataset.write_csv(out, grid.values, amps[:, None])
+print(f"\nwrote {out} ({len(grid)} rows, schema freq_hz,amplitude)")

@@ -15,8 +15,6 @@ modes are needed, so no full eigensolver.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +24,11 @@ from .errors import (
     EmptySystem,
     InvalidDamping,
     InvalidSpec,
-    MalformedRow,
     Singular,
 )
 from .numerics import solve_refined
 from .numerics import det_sign as _det_sign
 from .oscillator import FrequencyGrid
-
-THREADS_ENV = "FEM_SURROGATE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -413,45 +408,6 @@ class ResponseTable:
         """(n, 3) matrix of the per-axis maxima."""
         return np.column_stack([self.ux_max, self.uy_max, self.uz_max])
 
-    def write_csv(self, path) -> None:
-        lines = ["freq_hz,ux_max,uy_max,uz_max"]
-        for row in zip(self.freq_hz, self.ux_max, self.uy_max, self.uz_max):
-            lines.append(",".join("%.17g" % v for v in row))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def read_csv(cls, path) -> "ResponseTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().split("\n") if ln != ""]
-        if not lines or lines[0] != "freq_hz,ux_max,uy_max,uz_max":
-            raise MalformedRow(f"unexpected header in {path}")
-        rows = []
-        for i, ln in enumerate(lines[1:], start=1):
-            parts = ln.split(",")
-            if len(parts) != 4:
-                raise MalformedRow(f"row {i}: expected 4 columns, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise MalformedRow(f"row {i}: {exc}") from exc
-        arr = np.array(rows) if rows else np.zeros((0, 4))
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
-
-
-def sweep_workers() -> int:
-    """Sweep thread count: FEM_SURROGATE_THREADS when set (capped at the
-    core count), else serial.  The per-frequency solves are numpy-call bound
-    and hold the GIL, so threads only pay off on much larger systems."""
-    raw = os.environ.get(THREADS_ENV, "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            raise InvalidSpec(f"{THREADS_ENV} must be an integer, got {raw!r}")
-        return min(max(1, n), os.cpu_count() or 1)
-    return 1
-
 
 def reduced_system(spec: BeamSpec, damping: tuple[float, float] | None = None,
                    ) -> tuple[BeamModel, ReducedSystem]:
@@ -469,31 +425,21 @@ def frequency_sweep(spec: BeamSpec, grid: FrequencyGrid,
                     damping: tuple[float, float]) -> ResponseTable:
     """One assembly, one complex solve per grid frequency.
 
-    Distinct frequencies may be solved on a thread pool (capped by the
-    FEM_SURROGATE_THREADS env var); rows are ordered by frequency either way.
+    A singular frequency does not stop the sweep; every failure is collected
+    and one Singular names up to five of them.
     """
     model, red = reduced_system(spec, damping)
     freqs = grid.values
-
-    def solve_one(f):
+    rows, failures = [], []
+    for f in freqs:
         try:
-            return max_displacements(harmonic_solve(red.k, red.m, red.c, red.f, f), model), None
+            rows.append(max_displacements(harmonic_solve(red.k, red.m, red.c, red.f, f), model))
         except Singular as exc:
-            return None, (f, str(exc))
-
-    workers = min(sweep_workers(), len(freqs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_one, freqs))
-    else:
-        results = [solve_one(f) for f in freqs]
-
-    failures = [err for _, err in results if err is not None]
+            failures.append(f"f = {f} Hz: {exc}")
     if failures:
-        notes = "; ".join(f"f = {f} Hz: {msg}" for f, msg in failures[:5])
-        raise Singular(f"{len(failures)} sweep frequencies failed ({notes})")
+        raise Singular(f"{len(failures)} sweep frequencies failed ({'; '.join(failures[:5])})")
 
-    rows = np.array([r for r, _ in results])
+    rows = np.array(rows)
     return ResponseTable(freqs.copy(), rows[:, 0], rows[:, 1], rows[:, 2])
 
 

@@ -116,8 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset (None) options from the JSON config file, if any."""
+def _merge_config(args: argparse.Namespace, parser) -> argparse.Namespace:
+    """Fill unset (None) options from the JSON config file, if any.
+
+    Each value goes through its option's own argparse type and choices, as
+    the flag text would (a JSON list is joined with commas first).
+    """
     if getattr(args, "config", None) is None:
         return args
     try:
@@ -129,17 +133,37 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, val in doc.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(key.replace("-", "_"))
+        if action is None or not hasattr(args, action.dest):
             raise ConfigError(f"config key {key!r} is not a known option")
-        if getattr(args, dest) is None:
-            setattr(args, dest, val)
+        if getattr(args, action.dest) is not None or val is None:
+            continue
+        text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+        try:
+            val = action.type(text) if action.type else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: invalid value {text!r} ({exc})") from exc
+        if action.choices is not None and val not in action.choices:
+            raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}")
+        setattr(args, action.dest, val)
     return args
 
 
 def _seed(args) -> int:
     return 42 if args.seed is None else int(args.seed)
+
+
+def _hidden_sizes(text) -> list[int] | None:
+    """Hidden layer sizes from '--hidden 100,100', or None when unset."""
+    if text is None:
+        return None
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--hidden must be comma-separated integers, got {text!r}") from None
 
 
 def _check_out_path(path) -> None:
@@ -212,16 +236,13 @@ def cmd_generate(args) -> int:
     _check_out_path(args.out)
     if args.experiment == "example1":
         grid = _grid_or(args, osc_mod.DEFAULT_GRID)
-        samples = osc_mod.sweep_oscillator(_osc_params(args), grid)
-        dataset.write_csv(samples, args.out)
-        n = len(samples)
+        outputs = osc_mod.sweep_oscillator(_osc_params(args), grid)
     else:
         spec = _beam_spec(args)
         grid = _grid_or(args, beam_mod.DEFAULT_GRID)
-        table = beam_mod.frequency_sweep(spec, grid, _damping_or_default(args, spec))
-        table.write_csv(args.out)
-        n = len(table.freq_hz)
-    print(f"rows={n} f_min_hz={grid.values[0]:.17g} f_max_hz={grid.values[-1]:.17g} "
+        outputs = beam_mod.frequency_sweep(spec, grid, _damping_or_default(args, spec)).outputs()
+    dataset.write_csv(args.out, grid.values, outputs)
+    print(f"rows={len(grid)} f_min_hz={grid.values[0]:.17g} f_max_hz={grid.values[-1]:.17g} "
           f"out={args.out}")
     return 0
 
@@ -248,54 +269,38 @@ def _train_config_from(args, make_default, seed) -> mlp.TrainConfig:
 def cmd_train(args) -> int:
     _check_out_path(args.out_model)
     _check_out_path(args.history)
-    samples = dataset.read_csv(args.data)
-    if not samples:
+    freqs, outputs = dataset.read_csv(args.data)
+    if freqs.size == 0:
         raise DataError(f"{args.data} holds no samples")
-    k = samples[0].outputs.size
+    k = outputs.shape[1]
     experiment = args.experiment or ("example1" if k == 1 else "example2")
     layers, make_cfg, target_scheme = _TRAIN_DEFAULTS[experiment]
-    if args.hidden is not None:
-        hidden = [int(s) for s in str(args.hidden).split(",") if s.strip()]
-        layers = [1] + hidden + [k]
-    else:
-        layers = [1] + layers[1:-1] + [k]
+    hidden = _hidden_sizes(args.hidden)
+    layers = [1] + (layers[1:-1] if hidden is None else hidden) + [k]
     if args.target_scale is not None:
         target_scheme = args.target_scale
 
     seed = _seed(args)
     cfg = _train_config_from(args, make_cfg, seed)
     test_fraction = 0.2 if args.test_fraction is None else args.test_fraction
+    fit = surrogate.fit_surrogate(freqs, outputs, layers, cfg, seed, test_fraction,
+                                  target_scheme)
 
-    ds = dataset.split(samples, test_fraction, seed)
-    f_train, y_train = dataset.samples_to_arrays(ds.train)
-    f_test, y_test = dataset.samples_to_arrays(ds.test)
-    input_scaler = dataset.scale_fit(f_train, dataset.LINEAR_MINMAX)
-    target_scaler = dataset.scale_fit(y_train, target_scheme)
-    data = mlp.TrainSplit(
-        x_train=dataset.scale_apply(input_scaler, f_train),
-        y_train=dataset.scale_apply(target_scaler, y_train),
-        x_test=dataset.scale_apply(input_scaler, f_test),
-        y_test=dataset.scale_apply(target_scaler, y_test),
-    )
-    net = mlp.init(layers, seed)
-    net, history = mlp.train(net, data, cfg)
-
-    meta = {"experiment": experiment, "freq_min_hz": float(f_train.min()),
-            "freq_max_hz": float(f_train.max()), "seed": seed}
-    mlp.save_model(net, input_scaler, target_scaler, args.out_model, meta=meta)
+    # The input scaler is min-max over the train split: its ends are the
+    # trained frequency range.
+    m = fit.model
+    meta = {"experiment": experiment, "freq_min_hz": float(m.input_scaler.col_min[0]),
+            "freq_max_hz": float(m.input_scaler.col_max[0]), "seed": seed}
+    mlp.save_model(m.net, m.input_scaler, m.target_scaler, args.out_model, meta=meta)
 
     if args.history:
-        lines = ["epoch,train_mse,test_mse"]
-        for i, tr in enumerate(history.train_mse):
-            te = history.test_mse[i] if history.test_mse else float("nan")
-            lines.append(f"{i},{tr:.17g},{te:.17g}")
-        with open(args.history, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        h = fit.history  # fit_surrogate always holds out a test split
+        dataset.write_rows(args.history, ["epoch", "train_mse", "test_mse"],
+                           np.column_stack([np.arange(len(h.train_mse)), h.train_mse,
+                                            h.test_mse]))
 
-    final_train = mlp.mse(mlp.forward(net, data.x_train), data.y_train)
-    final_test = mlp.mse(mlp.forward(net, data.x_test), data.y_test)
-    print(f"final_train_mse_scaled={final_train:.17g} "
-          f"final_test_mse_scaled={final_test:.17g} model={args.out_model}")
+    print(f"final_train_mse_scaled={fit.train_mse_scaled:.17g} "
+          f"final_test_mse_scaled={fit.test_mse_scaled:.17g} model={args.out_model}")
     return 0
 
 
@@ -326,12 +331,8 @@ def cmd_predict(args) -> int:
     n = 200 if args.grid_points is None else args.grid_points
     grid = osc_mod.FrequencyGrid.uniform(lo, hi, n)
     pred = surrogate.predict_batch(model, grid.values)
-    k = pred.shape[1]
-    lines = ["freq_hz," + ",".join(f"pred_{c + 1}" for c in range(k))]
-    for f, row in zip(grid.values, pred):
-        lines.append(",".join("%.17g" % v for v in (f, *row)))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["freq_hz"] + [f"pred_{c + 1}" for c in range(pred.shape[1])]
+    dataset.write_rows(args.out, header, np.column_stack([grid.values, pred]))
     print(f"rows={n} out={args.out}")
     return 0
 
@@ -341,11 +342,9 @@ def cmd_eval(args) -> int:
     _check_out_path(args.plot)
     seed = _seed(args)
     test_fraction = 0.2 if args.test_fraction is None else args.test_fraction
-    layers = None
-    if args.hidden is not None:
-        hidden = [int(s) for s in str(args.hidden).split(",") if s.strip()]
-        k = 1 if args.experiment == "example1" else 3
-        layers = [1] + hidden + [k]
+    hidden = _hidden_sizes(args.hidden)
+    k = 1 if args.experiment == "example1" else 3
+    layers = None if hidden is None else [1] + hidden + [k]
 
     if args.experiment == "example1":
         cfg = _train_config_from(args, surrogate.example1_train_config, seed)
@@ -390,7 +389,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

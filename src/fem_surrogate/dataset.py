@@ -1,11 +1,16 @@
-"""Training-data plumbing: response samples, train/test split, feature and
-target scaling, and CSV persistence.
+"""Training-data plumbing: train/test split, feature and target scaling,
+and CSV persistence.
+
+Samples travel as two float arrays: freqs (n,) in Hz and outputs (n, k) in
+physical units (k = 1 amplitude for the oscillator, k = 3 per-axis maximum
+displacements for the beam).
 
 Scaling schemes follow the pipeline defaults: driving frequency is min-max
 scaled to [0, 1]; displacement targets spanning several decades across
 resonance peaks use log10 with a small positive floor.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,43 +27,12 @@ from .errors import (
 FLOAT_FMT = "%.17g"
 
 
-@dataclass(frozen=True)
-class ResponseSample:
-    """One ground-truth record: driving frequency -> output amplitudes.
+def split(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random train/test partition of n sample indices, deterministic for a
+    fixed seed.
 
-    ``outputs`` has length 1 for the oscillator (amplitude) and 3 for the
-    beam (per-axis maximum displacement).  Values are physical units.
+    Returns sorted (train_idx, test_idx) with |test| = round(test_fraction * n).
     """
-
-    freq_hz: float
-    outputs: np.ndarray
-
-    def __post_init__(self):
-        out = np.atleast_1d(np.asarray(self.outputs, dtype=float))
-        object.__setattr__(self, "outputs", out)
-        if not np.isfinite(self.freq_hz) or self.freq_hz < 0.0:
-            raise InvalidParams(f"freq_hz must be finite and >= 0, got {self.freq_hz}")
-        if out.ndim != 1 or out.size == 0:
-            raise InvalidParams("outputs must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(out)) or np.any(out < 0.0):
-            raise InvalidParams("outputs must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class SplitDataset:
-    train: list
-    test: list
-    seed: int
-
-
-def split(samples, test_fraction: float, seed: int) -> SplitDataset:
-    """Random train/test partition by sample, deterministic for a fixed seed.
-
-    |test| = round(test_fraction * N); both partitions keep the original
-    sample order.
-    """
-    samples = list(samples)
-    n = len(samples)
     if not 0.0 < test_fraction < 1.0:
         raise InvalidParams(f"test_fraction must be in (0, 1), got {test_fraction}")
     if n < 5:
@@ -67,15 +41,8 @@ def split(samples, test_fraction: float, seed: int) -> SplitDataset:
     if n_test < 1 or n_test > n - 1:
         raise TooFewSamples(
             f"test_fraction {test_fraction} of {n} samples leaves an empty partition")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
-    return SplitDataset(
-        train=[samples[i] for i in train_idx],
-        test=[samples[i] for i in test_idx],
-        seed=seed,
-    )
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
 # --- scaling ----------------------------------------------------------------
@@ -170,29 +137,37 @@ def scale_invert(scaler: Scaler, scaled) -> np.ndarray:
 
 # --- CSV persistence ---------------------------------------------------------
 
-def _header_for(k: int) -> str:
+def _header_for(k: int) -> list[str]:
     if k == 1:
-        return "freq_hz,amplitude"
+        return ["freq_hz", "amplitude"]
     if k == 3:
-        return "freq_hz,ux_max,uy_max,uz_max"
-    return "freq_hz," + ",".join(f"out_{i + 1}" for i in range(k))
+        return ["freq_hz", "ux_max", "uy_max", "uz_max"]
+    return ["freq_hz"] + [f"out_{i + 1}" for i in range(k)]
 
 
-def write_csv(samples, path) -> None:
-    """Write samples as UTF-8 CSV, '\\n' endings, 17 significant digits."""
-    samples = list(samples)
-    k = samples[0].outputs.size if samples else 1
-    lines = [_header_for(k)]
-    for s in samples:
-        row = [FLOAT_FMT % s.freq_hz] + [FLOAT_FMT % y for y in s.outputs]
-        lines.append(",".join(row))
+def write_rows(path, header, rows) -> None:
+    """Write a UTF-8 CSV with '\\n' endings: the header names, then one line
+    per row of the 2-D array ``rows`` with every cell as %.17g (integers and
+    flags print as 0, 1, 12; NaN as nan)."""
+    lines = [",".join(header)]
+    lines += [",".join(FLOAT_FMT % v for v in row)
+              for row in np.asarray(rows, dtype=float).tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> list:
-    """Read samples written by write_csv; raises MalformedRow with the
-    offending 1-based data row index."""
+def write_csv(path, freqs, outputs) -> None:
+    """Write a sweep: freqs (n,) and outputs (n, k) in physical units."""
+    outputs = np.asarray(outputs, dtype=float)
+    write_rows(path, _header_for(outputs.shape[1]), np.column_stack([freqs, outputs]))
+
+
+def read_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a sweep written by write_csv as (freqs (n,), outputs (n, k)).
+
+    Every value must parse and be finite and >= 0; a bad row raises
+    MalformedRow with its 1-based data row index.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln != ""]
     if not lines:
@@ -200,7 +175,7 @@ def read_csv(path) -> list:
     n_cols = len(lines[0].split(","))
     if n_cols < 2 or not lines[0].startswith("freq_hz"):
         raise MalformedRow(f"unexpected header {lines[0]!r}")
-    samples = []
+    rows = []
     for i, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
         if len(parts) != n_cols:
@@ -209,13 +184,8 @@ def read_csv(path) -> list:
             vals = [float(p) for p in parts]
         except ValueError as exc:
             raise MalformedRow(f"row {i}: {exc}") from exc
-        samples.append(ResponseSample(vals[0], np.array(vals[1:])))
-    return samples
-
-
-def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    """(freqs (n,), outputs (n, k)) view of a sample list."""
-    samples = list(samples)
-    freqs = np.array([s.freq_hz for s in samples])
-    outputs = np.vstack([s.outputs for s in samples]) if samples else np.zeros((0, 1))
-    return freqs, outputs
+        if not all(math.isfinite(v) and v >= 0.0 for v in vals):
+            raise MalformedRow(f"row {i}: values must be finite and >= 0, got {ln!r}")
+        rows.append(vals)
+    table = np.array(rows).reshape(len(rows), n_cols)
+    return table[:, 0], table[:, 1:]

@@ -97,8 +97,7 @@ class TrainHistory:
 @dataclass
 class TrainSplit:
     """Scaled training arrays: x (n, d_in), y (n, d_out).  Scaled targets may
-    be negative (log space), so this deliberately does not reuse
-    ResponseSample."""
+    be negative (log space)."""
 
     x_train: np.ndarray
     y_train: np.ndarray

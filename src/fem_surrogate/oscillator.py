@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ResponseSample
 from .errors import InvalidParams, NonConvergent, UnboundedResonance
 
 
@@ -106,15 +105,14 @@ def peak_frequency_hz(params: OscillatorParams) -> float:
     return math.sqrt(w0sq - shift) / (2.0 * math.pi)
 
 
-def sweep_oscillator(params: OscillatorParams, grid: FrequencyGrid) -> list:
-    """Amplitude at every grid frequency, one single-output sample per point."""
-    out = []
-    for f in grid.values:
+def sweep_oscillator(params: OscillatorParams, grid: FrequencyGrid) -> np.ndarray:
+    """Amplitude at every grid frequency, as an (n, 1) output array."""
+    out = np.empty((len(grid), 1))
+    for i, f in enumerate(grid.values):
         try:
-            a = amplitude(params, float(f))
+            out[i, 0] = amplitude(params, float(f))
         except UnboundedResonance as exc:
             raise UnboundedResonance(f"sweep failed at f = {f} Hz: {exc}") from exc
-        out.append(ResponseSample(float(f), np.array([a])))
     return out
 
 

@@ -120,12 +120,8 @@ class ExperimentReport:
         k = self.n_channels
         header = ["freq_hz"] + [f"true_{c + 1}" for c in range(k)] \
             + [f"pred_{c + 1}" for c in range(k)] + ["is_test"]
-        lines = [",".join(header)]
-        for i, f in enumerate(self.freq_hz):
-            vals = [f, *self.true_outputs[i], *self.pred_outputs[i]]
-            lines.append(",".join("%.17g" % v for v in vals) + f",{int(self.is_test[i])}")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        dataset.write_rows(path, header, np.column_stack(
+            [self.freq_hz, self.true_outputs, self.pred_outputs, self.is_test]))
 
     def write_metrics(self, path) -> None:
         lines = []
@@ -178,37 +174,49 @@ def _metrics_test_rmse(true_out, pred_out, is_test) -> np.ndarray:
     return err / np.where(norm > 0.0, norm, 1.0)
 
 
-def _run_pipeline(experiment, samples, grid, layer_sizes, train_config,
-                  split_seed, test_fraction, target_scheme, config_echo):
-    ds = dataset.split(samples, test_fraction, split_seed)
-    f_train, y_train = dataset.samples_to_arrays(ds.train)
-    f_test, y_test = dataset.samples_to_arrays(ds.test)
+@dataclass
+class Fit:
+    """A trained surrogate (meta left to the caller), its loss history, the
+    held-out sample indices, and the final scaled-space MSEs."""
 
+    model: SurrogateModel
+    history: mlp.TrainHistory
+    test_idx: np.ndarray
+    train_mse_scaled: float
+    test_mse_scaled: float
+
+
+def fit_surrogate(freqs, outputs, layer_sizes, train_config: mlp.TrainConfig,
+                  split_seed: int, test_fraction: float, target_scheme: str) -> Fit:
+    """Split -> fit both scalers on the train part only -> init and train
+    the net -> final train/test MSE in scaled space."""
+    train_idx, test_idx = dataset.split(len(freqs), test_fraction, split_seed)
+    f_train, y_train = freqs[train_idx], outputs[train_idx]
     input_scaler = dataset.scale_fit(f_train, dataset.LINEAR_MINMAX)
     target_scaler = dataset.scale_fit(y_train, target_scheme)
     data = mlp.TrainSplit(
         x_train=dataset.scale_apply(input_scaler, f_train),
         y_train=dataset.scale_apply(target_scaler, y_train),
-        x_test=dataset.scale_apply(input_scaler, f_test),
-        y_test=dataset.scale_apply(target_scaler, y_test),
+        x_test=dataset.scale_apply(input_scaler, freqs[test_idx]),
+        y_test=dataset.scale_apply(target_scaler, outputs[test_idx]),
     )
-
     net = mlp.init(layer_sizes, train_config.seed)
     net, history = mlp.train(net, data, train_config)
+    return Fit(SurrogateModel(net, input_scaler, target_scaler), history, test_idx,
+               train_mse_scaled=mlp.mse(mlp.forward(net, data.x_train), data.y_train),
+               test_mse_scaled=mlp.mse(mlp.forward(net, data.x_test), data.y_test))
 
-    model = SurrogateModel(net, input_scaler, target_scaler, meta={
-        "experiment": experiment,
-        "freq_min_hz": float(grid.values[0]),
-        "freq_max_hz": float(grid.values[-1]),
-    })
 
-    freqs, true_out = dataset.samples_to_arrays(samples)
+def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
+                  split_seed, test_fraction, target_scheme, config_echo):
+    fit = fit_surrogate(freqs, true_out, layer_sizes, train_config, split_seed,
+                        test_fraction, target_scheme)
+    model = fit.model
+    model.meta = {"experiment": experiment, "freq_min_hz": float(freqs[0]),
+                  "freq_max_hz": float(freqs[-1])}
     pred_out = predict_batch(model, freqs)
-    test_freqs = {s.freq_hz for s in ds.test}
-    is_test = np.array([f in test_freqs for f in freqs])
-
-    train_mse = mlp.mse(mlp.forward(net, data.x_train), data.y_train)
-    test_mse = mlp.mse(mlp.forward(net, data.x_test), data.y_test)
+    is_test = np.zeros(len(freqs), dtype=bool)
+    is_test[fit.test_idx] = True
     rel_rmse = _metrics_test_rmse(true_out, pred_out, is_test)
 
     k = true_out.shape[1]
@@ -236,15 +244,15 @@ def _run_pipeline(experiment, samples, grid, layer_sizes, train_config,
         true_outputs=true_out,
         pred_outputs=pred_out,
         is_test=is_test,
-        train_mse_scaled=train_mse,
-        test_mse_scaled=test_mse,
+        train_mse_scaled=fit.train_mse_scaled,
+        test_mse_scaled=fit.test_mse_scaled,
         rel_rmse_test=rel_rmse,
         rel_rmse_test_offpeak=offpeak,
         true_peaks=true_idx,
         pred_peaks=pred_idx,
         peak_match=match,
         model=model,
-        history=history,
+        history=fit.history,
     )
 
 
@@ -261,7 +269,7 @@ def run_example1(osc: osc_mod.OscillatorParams | None = None,
     cfg = train_config or example1_train_config()
     layers = list(layer_sizes) if layer_sizes else EXAMPLE1_LAYERS
 
-    samples = osc_mod.sweep_oscillator(osc, grid)
+    outputs = osc_mod.sweep_oscillator(osc, grid)
     echo = {
         "experiment": "example1",
         "mass": osc.mass, "damping": osc.damping,
@@ -274,7 +282,7 @@ def run_example1(osc: osc_mod.OscillatorParams | None = None,
         "batch_size": cfg.batch_size, "epochs": cfg.epochs, "train_seed": cfg.seed,
         "input_scaling": dataset.LINEAR_MINMAX, "target_scaling": dataset.LOG10,
     }
-    return _run_pipeline("example1", samples, grid, layers, cfg, split_seed,
+    return _run_pipeline("example1", grid.values, outputs, layers, cfg, split_seed,
                          test_fraction, dataset.LOG10, echo)
 
 
@@ -294,9 +302,7 @@ def run_example2(spec: beam_mod.BeamSpec | None = None,
     if damping is None:
         damping = beam_mod.default_damping(spec)
 
-    table = beam_mod.frequency_sweep(spec, grid, damping)
-    samples = [dataset.ResponseSample(float(f), row)
-               for f, row in zip(table.freq_hz, table.outputs())]
+    outputs = beam_mod.frequency_sweep(spec, grid, damping).outputs()
     echo = {
         "experiment": "example2",
         "length": spec.length,
@@ -316,5 +322,5 @@ def run_example2(spec: beam_mod.BeamSpec | None = None,
         "batch_size": cfg.batch_size, "epochs": cfg.epochs, "train_seed": cfg.seed,
         "input_scaling": dataset.LINEAR_MINMAX, "target_scaling": dataset.LOG10,
     }
-    return _run_pipeline("example2", samples, grid, layers, cfg, split_seed,
+    return _run_pipeline("example2", grid.values, outputs, layers, cfg, split_seed,
                          test_fraction, dataset.LOG10, echo)

@@ -10,7 +10,7 @@ from fem_surrogate.errors import (
     InvalidSpec,
     Singular,
 )
-from fem_surrogate import beam
+from fem_surrogate import beam, dataset
 from fem_surrogate import oscillator as osc
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -389,22 +389,12 @@ def test_sweep_csv_round_trip(tmp_path):
     grid = osc.FrequencyGrid.uniform(5.0, 30.0, 7)
     table = beam.frequency_sweep(spec, grid, (0.0, 2e-4))
     path = tmp_path / "table.csv"
-    table.write_csv(path)
+    dataset.write_csv(path, table.freq_hz, table.outputs())
     header = path.read_text().splitlines()[0]
     assert header == "freq_hz,ux_max,uy_max,uz_max"
-    back = beam.ResponseTable.read_csv(path)
-    npt.assert_array_equal(back.freq_hz, table.freq_hz)
-    npt.assert_array_equal(back.uy_max, table.uy_max)
-
-
-def test_sweep_thread_env_matches_serial(monkeypatch):
-    spec = beam.default_spec()
-    grid = osc.FrequencyGrid.uniform(10.0, 40.0, 13)
-    serial = beam.frequency_sweep(spec, grid, (0.0, 2e-4))
-    monkeypatch.setenv(beam.THREADS_ENV, "2")
-    threaded = beam.frequency_sweep(spec, grid, (0.0, 2e-4))
-    npt.assert_array_equal(serial.uy_max, threaded.uy_max)
-    npt.assert_array_equal(serial.uz_max, threaded.uz_max)
+    freqs, outputs = dataset.read_csv(path)
+    npt.assert_array_equal(freqs, table.freq_hz)
+    npt.assert_array_equal(outputs, table.outputs())
 
 
 # --- natural frequencies -------------------------------------------------------

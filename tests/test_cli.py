@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from fem_surrogate import cli
+
 
 def run_cli(*args, env=None):
     return subprocess.run([sys.executable, "-m", "fem_surrogate", *args],
@@ -134,6 +136,26 @@ def test_train_divergence_exits_4(tmp_path, osc_csv):
     assert "epoch" in res.stderr
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "nan", "inf"])
+def test_train_out_of_domain_row_exits_3(tmp_path, capsys, value):
+    data = tmp_path / "bad.csv"
+    rows = [f"{f},1e-3" for f in (1, 2, 3)] + [f"4,{value}", "5,1e-3"]
+    data.write_text("freq_hz,amplitude\n" + "\n".join(rows) + "\n")
+    rc = cli.main(["train", "--data", str(data), "--out-model", str(tmp_path / "m.model")])
+    assert rc == 3
+    assert "row 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_hidden_non_integer_exits_2(tmp_path, osc_csv, command):
+    args = (["train", "--data", str(osc_csv), "--out-model", str(tmp_path / "m.model")]
+            if command == "train" else
+            ["eval", "--experiment", "example1", "--out-dir", str(tmp_path)])
+    res = run_cli(*args, "--hidden", "10,abc")
+    assert res.returncode == 2
+    assert "--hidden" in res.stderr and "Traceback" not in res.stderr
+
+
 @pytest.mark.slow
 def test_train_example1_defaults_reaches_spec_loss(tmp_path, osc_csv):
     res = run_cli("train", "--data", str(osc_csv),
@@ -236,6 +258,30 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, osc_csv):
                   "--config", str(cfg), "--hidden", "4")
     assert res.returncode == 0
     assert json.loads(m2.read_text())["layer_sizes"] == [1, 4, 1]
+
+
+@pytest.mark.parametrize("doc, rc", [
+    ({"epochs": "3"}, 0),
+    ({"hidden": [10, 10], "epochs": 2}, 0),
+    ({"axis": "1,0,0"}, 0),
+    ({"tip_load": [0, 5, 5]}, 0),
+    ({"epochs": "three"}, 2),
+    ({"hidden": [10, "x"], "epochs": 2}, 2),
+    ({"optimizer": "rmsprop"}, 2),
+    ({"axis": [1, 0]}, 2),
+])
+def test_config_values_convert_like_flags(tmp_path, osc_csv, doc, rc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    if {"axis", "tip_load"} & doc.keys():
+        args = ["generate", "--experiment", "example2", "--out", str(tmp_path / "b.csv"),
+                "--grid-points", "5", "--n-elements", "4"]
+    else:
+        args = ["train", "--data", str(osc_csv), "--out-model", str(tmp_path / "m.model")]
+    res = run_cli(*args, "--config", str(cfg))
+    assert res.returncode == rc, res.stderr
+    if rc:
+        assert next(iter(doc)) in res.stderr and "Traceback" not in res.stderr
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, osc_csv):

@@ -11,46 +11,41 @@ from fem_surrogate.errors import (
 from fem_surrogate import dataset
 
 
-def make_samples(n, k=1, seed=0):
+def make_arrays(n, k=1, seed=0):
     rng = np.random.default_rng(seed)
-    return [dataset.ResponseSample(float(f), rng.uniform(1e-6, 1e-2, size=k))
-            for f in np.linspace(0.1, 10.0, n)]
+    return np.linspace(0.1, 10.0, n), rng.uniform(1e-6, 1e-2, size=(n, k))
 
 
 # --- split -------------------------------------------------------------------
 
 def test_split_sizes_and_disjointness():
-    samples = make_samples(100)
-    ds = dataset.split(samples, 0.2, seed=42)
-    assert len(ds.train) == 80 and len(ds.test) == 20
-    train_f = {s.freq_hz for s in ds.train}
-    test_f = {s.freq_hz for s in ds.test}
-    assert not train_f & test_f
-    assert train_f | test_f == {s.freq_hz for s in samples}
+    train, test = dataset.split(100, 0.2, seed=42)
+    assert len(train) == 80 and len(test) == 20
+    assert not set(train) & set(test)
+    assert set(train) | set(test) == set(range(100))
+    assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
 
 
 def test_split_deterministic_for_fixed_seed():
-    samples = make_samples(60)
-    a = dataset.split(samples, 0.25, seed=7)
-    b = dataset.split(samples, 0.25, seed=7)
-    assert [s.freq_hz for s in a.test] == [s.freq_hz for s in b.test]
-    assert [s.freq_hz for s in a.train] == [s.freq_hz for s in b.train]
+    a = dataset.split(60, 0.25, seed=7)
+    b = dataset.split(60, 0.25, seed=7)
+    npt.assert_array_equal(a[0], b[0])
+    npt.assert_array_equal(a[1], b[1])
 
 
 def test_split_differs_between_seeds():
-    samples = make_samples(200)
-    a = dataset.split(samples, 0.2, seed=1)
-    b = dataset.split(samples, 0.2, seed=2)
-    assert [s.freq_hz for s in a.test] != [s.freq_hz for s in b.test]
+    _, a = dataset.split(200, 0.2, seed=1)
+    _, b = dataset.split(200, 0.2, seed=2)
+    assert not np.array_equal(a, b)
 
 
 def test_split_too_few_samples():
     with pytest.raises(TooFewSamples):
-        dataset.split(make_samples(4), 0.2, seed=0)
+        dataset.split(4, 0.2, seed=0)
     with pytest.raises(TooFewSamples):
-        dataset.split(make_samples(5), 0.01, seed=0)  # rounds to empty test
+        dataset.split(5, 0.01, seed=0)  # rounds to empty test
     with pytest.raises(InvalidParams):
-        dataset.split(make_samples(10), 1.5, seed=0)
+        dataset.split(10, 1.5, seed=0)
 
 
 # --- scaling -----------------------------------------------------------------
@@ -122,40 +117,40 @@ def test_scaler_dict_round_trip():
 # --- CSV ---------------------------------------------------------------------
 
 def test_csv_round_trip_single_output(tmp_path):
-    samples = make_samples(20, k=1)
+    freqs, outputs = make_arrays(20, k=1)
     path = tmp_path / "osc.csv"
-    dataset.write_csv(samples, path)
+    dataset.write_csv(path, freqs, outputs)
     assert path.read_text().splitlines()[0] == "freq_hz,amplitude"
-    back = dataset.read_csv(path)
-    assert len(back) == 20
-    for a, b in zip(samples, back):
-        assert a.freq_hz == b.freq_hz
-        npt.assert_array_equal(a.outputs, b.outputs)
+    f_back, y_back = dataset.read_csv(path)
+    assert y_back.shape == (20, 1)
+    npt.assert_array_equal(f_back, freqs)
+    npt.assert_array_equal(y_back, outputs)
 
 
 def test_csv_three_output_schema(tmp_path):
-    samples = make_samples(5, k=3)
+    freqs, outputs = make_arrays(5, k=3)
     path = tmp_path / "beam.csv"
-    dataset.write_csv(samples, path)
+    dataset.write_csv(path, freqs, outputs)
     header = path.read_text().splitlines()[0]
     assert header == "freq_hz,ux_max,uy_max,uz_max"
-    back = dataset.read_csv(path)
-    npt.assert_array_equal(np.vstack([s.outputs for s in back]),
-                           np.vstack([s.outputs for s in samples]))
+    _, y_back = dataset.read_csv(path)
+    npt.assert_array_equal(y_back, outputs)
 
 
 def test_csv_empty_list_round_trips(tmp_path):
     path = tmp_path / "empty.csv"
-    dataset.write_csv([], path)
-    assert dataset.read_csv(path) == []
+    dataset.write_csv(path, np.zeros(0), np.zeros((0, 1)))
+    assert path.read_text() == "freq_hz,amplitude\n"
+    freqs, outputs = dataset.read_csv(path)
+    assert freqs.shape == (0,) and outputs.shape == (0, 1)
 
 
 def test_csv_survives_17_digit_value(tmp_path):
     value = 1.2345678901234567e-5
     path = tmp_path / "val.csv"
-    dataset.write_csv([dataset.ResponseSample(1.0, np.array([value]))], path)
-    back = dataset.read_csv(path)
-    assert back[0].outputs[0] == value
+    dataset.write_csv(path, np.array([1.0]), np.array([[value]]))
+    _, outputs = dataset.read_csv(path)
+    assert outputs[0, 0] == value
 
 
 def test_csv_malformed_rows_report_index(tmp_path):
@@ -168,10 +163,17 @@ def test_csv_malformed_rows_report_index(tmp_path):
         dataset.read_csv(path)
 
 
-def test_sample_validation():
-    with pytest.raises(InvalidParams):
-        dataset.ResponseSample(-1.0, np.array([1.0]))
-    with pytest.raises(InvalidParams):
-        dataset.ResponseSample(1.0, np.array([-1.0]))
-    with pytest.raises(InvalidParams):
-        dataset.ResponseSample(1.0, np.array([np.nan]))
+@pytest.mark.parametrize("bad_row", ["2.0,-1e-3", "2.0,nan", "2.0,inf", "-2.0,1e-3", "nan,1e-3"],
+                         ids=["negative", "nan", "inf", "negative_freq", "nan_freq"])
+def test_csv_rejects_out_of_domain_rows(tmp_path, bad_row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"freq_hz,amplitude\n1.0,1e-3\n{bad_row}\n3.0,1e-3\n")
+    with pytest.raises(MalformedRow, match="row 2"):
+        dataset.read_csv(path)
+
+
+def test_write_rows_formats_every_cell_as_17g(tmp_path):
+    path = tmp_path / "rows.csv"
+    dataset.write_rows(path, ["a", "b", "c"],
+                       np.column_stack([np.arange(2), [0.1, np.nan], [True, False]]))
+    assert path.read_text() == "a,b,c\n0,0.10000000000000001,1\n1,nan,0\n"

@@ -73,26 +73,23 @@ def test_oracle_matches_closed_form_for_random_params():
 def test_sweep_matches_pointwise_amplitude():
     p = params(1.0, 0.2, 986.96, 1.0)
     grid = osc.FrequencyGrid.uniform(0.1, 10.0, 25)
-    samples = osc.sweep_oscillator(p, grid)
-    assert len(samples) == 25
-    npt.assert_array_equal([s.freq_hz for s in samples], grid.values)
-    for s in samples:
-        assert s.outputs.shape == (1,)
-        assert s.outputs[0] == osc.amplitude(p, s.freq_hz)
+    amps = osc.sweep_oscillator(p, grid)
+    assert amps.shape == (25, 1)
+    for f, a in zip(grid.values, amps[:, 0]):
+        assert a == osc.amplitude(p, float(f))
 
 
 def test_sweep_single_point_static():
     p = params(2.0, 0.1, 8.0, 4.0)
-    samples = osc.sweep_oscillator(p, osc.FrequencyGrid(np.array([0.0])))
-    assert len(samples) == 1
-    assert samples[0].outputs[0] == pytest.approx(0.5, rel=1e-15)
+    amps = osc.sweep_oscillator(p, osc.FrequencyGrid(np.array([0.0])))
+    assert amps.shape == (1, 1)
+    assert amps[0, 0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_sweep_peak_lands_within_one_grid_step():
     p = osc.DEFAULT_PARAMS
     grid = osc.default_grid()
-    samples = osc.sweep_oscillator(p, grid)
-    amps = np.array([s.outputs[0] for s in samples])
+    amps = osc.sweep_oscillator(p, grid)[:, 0]
     step = grid.values[1] - grid.values[0]
     assert abs(grid.values[np.argmax(amps)] - osc.peak_frequency_hz(p)) <= step
 
