@@ -10,8 +10,9 @@ elimination.  The steady-state response solves
     (K - w^2 M + i w C) u = F,  w = 2*pi*f,
 
 with Rayleigh damping C = alpha*M + beta*K.  Natural frequencies come from
-a det-sign scan of K - w^2 M plus bisection; only a handful of validation
-modes are needed, so no full eigensolver.
+bisection on the count of negative LDL^T pivots of K - w^2 M (a Sturm
+sequence check); only a handful of validation modes are needed, so no full
+eigensolver.
 """
 
 import math
@@ -26,8 +27,7 @@ from .errors import (
     InvalidSpec,
     Singular,
 )
-from .numerics import solve_refined
-from .numerics import det_sign as _det_sign
+from .numerics import solve_refined, symmetric_pivots
 from .oscillator import FrequencyGrid
 
 
@@ -443,47 +443,42 @@ def frequency_sweep(spec: BeamSpec, grid: FrequencyGrid,
     return ResponseTable(freqs.copy(), rows[:, 0], rows[:, 1], rows[:, 2])
 
 
-def natural_frequencies(spec: BeamSpec, f_max: float, scan_points: int = 200) -> list[float]:
-    """Undamped natural frequencies in (0, f_max], ascending.
+def natural_frequencies(spec: BeamSpec, f_max: float) -> list[float]:
+    """Undamped natural frequencies in (0, f_max), ascending; a repeated root
+    is returned once per multiplicity.
 
-    Scans det(K - w^2 M) for sign changes and refines each bracket by
-    bisection to a relative tolerance of 1e-6.  Double roots that do not flip
-    the sign are invisible to the scan, which is why the default section has
-    distinct bending planes.
+    The number of negative pivots of the LDL^T elimination of K - w^2 M is
+    the number of natural frequencies below f (Sylvester's law of inertia;
+    the Sturm sequence check of Bathe, Finite Element Procedures, 11.4.3).
+    Root i is the smallest f whose count reaches i, bisected to a relative
+    tolerance of 1e-6.  A zero pivot at a probed f raises Singular.
     """
-    if scan_points < 100:
-        raise InvalidSpec(f"scan_points must be >= 100, got {scan_points}")
     if not f_max > 0.0:
         raise InvalidSpec(f"f_max must be > 0, got {f_max}")
     _, red = reduced_system(spec)
 
-    def sign_at(f):
+    def count_below(f):
         w = 2.0 * math.pi * f
-        return _det_sign(red.k - w * w * red.m)
+        pivots = symmetric_pivots(red.k - w * w * red.m)
+        if pivots[-1] == 0.0:
+            raise Singular(f"K - w^2 M has a zero pivot at f = {f} Hz")
+        return int(np.count_nonzero(pivots < 0.0))
 
-    freqs = np.linspace(0.0, f_max, scan_points + 1)
+    counts = {0.0: 0, f_max: count_below(f_max)}  # K is positive definite
     roots = []
-    s_lo = 1  # K is positive definite, so det > 0 at f -> 0+
-    f_lo = 0.0
-    for f_hi in freqs[1:]:
-        s_hi = sign_at(f_hi)
-        if s_hi == 0:
-            roots.append(float(f_hi))
-            s_hi = -s_lo  # crossed the root exactly; sign flips past it
-        elif s_hi != s_lo:
-            lo, hi = f_lo, f_hi
-            while hi - lo > 1e-6 * hi:
-                mid = 0.5 * (lo + hi)
-                s_mid = sign_at(mid)
-                if s_mid == 0:
-                    lo = hi = mid
-                    break
-                if s_mid == s_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-        f_lo, s_lo = f_hi, s_hi
+    while len(roots) < counts[f_max]:
+        i = len(roots) + 1
+        lo = max(f for f, c in counts.items() if c < i)
+        hi = min(f for f, c in counts.items() if c >= i)
+        while hi - lo > 1e-6 * hi:
+            mid = 0.5 * (lo + hi)
+            counts[mid] = count_below(mid)
+            if counts[mid] >= i:
+                hi = mid
+            else:
+                lo = mid
+        # every root from i up to counts[hi] lies in [lo, hi)
+        roots.extend([0.5 * (lo + hi)] * (counts[hi] - len(roots)))
     return roots
 
 

@@ -355,11 +355,9 @@ def cmd_eval(args) -> int:
     else:
         spec = _beam_spec(args)
         cfg = _train_config_from(args, surrogate.example2_train_config, seed)
-        damping = None
-        if args.alpha is not None or args.beta is not None:
-            damping = (args.alpha or 0.0, args.beta or 0.0)
         report = surrogate.run_example2(
-            spec=spec, grid=_grid_or(args, beam_mod.DEFAULT_GRID), damping=damping,
+            spec=spec, grid=_grid_or(args, beam_mod.DEFAULT_GRID),
+            damping=_damping_or_default(args, spec),
             train_config=cfg, split_seed=seed, layer_sizes=layers,
             test_fraction=test_fraction)
 

@@ -21,12 +21,11 @@ class LuFactors:
 
     ``lu`` stores U on and above the diagonal and the unit-lower-triangular
     multipliers below it.  ``perm`` maps factored row i to original row
-    perm[i]; ``parity`` is the sign of that permutation.
+    perm[i].
     """
 
     lu: np.ndarray
     perm: np.ndarray
-    parity: int
 
     @property
     def n(self) -> int:
@@ -53,7 +52,6 @@ def lu_factor(a) -> LuFactors:
     dtype = complex if np.iscomplexobj(a) else float
     lu = a.astype(dtype, copy=True)
     perm = np.arange(n)
-    parity = 1
 
     big = np.abs(lu).max() if n else 0.0
     if big == 0.0 and n:
@@ -67,11 +65,10 @@ def lu_factor(a) -> LuFactors:
         if p != k:
             lu[[k, p]] = lu[[p, k]]
             perm[[k, p]] = perm[[p, k]]
-            parity = -parity
         if k + 1 < n:
             lu[k + 1:, k] /= lu[k, k]
             lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return LuFactors(lu, perm, parity)
+    return LuFactors(lu, perm)
 
 
 def lu_solve(f: LuFactors, b) -> np.ndarray:
@@ -112,28 +109,14 @@ def solve_refined(a, b) -> np.ndarray:
     return x
 
 
-def det_sign(a) -> int:
-    """Sign of det(A) for real square A: -1, 0 (singular), or +1.
-
-    Computed from the pivot signs and the permutation parity, so it never
-    over- or underflows the determinant magnitude.
-    """
-    a = _check_square(a)
-    if np.iscomplexobj(a):
-        raise DimensionMismatch("det_sign is defined for real matrices")
-    try:
-        f = lu_factor(a)
-    except Singular:
-        return 0
-    signs = np.sign(np.diag(f.lu).real)
-    return int(f.parity * signs.prod())
-
-
 def symmetric_pivots(a) -> np.ndarray:
-    """Pivots of the unpivoted elimination of a symmetric matrix.
+    """Pivots (the D of A = L D L^T) of the unpivoted elimination of a
+    symmetric matrix.
 
-    All pivots positive iff A is positive definite.  Elimination stops at the
-    first non-positive pivot; the returned array ends with it.
+    By Sylvester's law of inertia the pivots carry the signs of the
+    eigenvalues: all are positive iff A is positive definite, and the number
+    of negative pivots is the number of negative eigenvalues.  Elimination
+    stops at the first zero pivot; the returned array then ends with it.
     """
     a = _check_square(a)
     lu = a.astype(float, copy=True)
@@ -142,7 +125,7 @@ def symmetric_pivots(a) -> np.ndarray:
     for k in range(n):
         d = lu[k, k]
         pivots.append(d)
-        if d <= 0.0:
+        if d == 0.0:
             break
         if k + 1 < n:
             lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:]) / d

@@ -447,22 +447,62 @@ def test_mesh_convergence_of_frequencies():
     npt.assert_allclose(fc, ff, rtol=5e-3)
 
 
-def test_det_sign_flips_around_modes():
-    from fem_surrogate.numerics import det_sign
+def test_pivot_count_steps_by_one_across_modes():
+    from fem_surrogate.numerics import symmetric_pivots
     spec = beam.default_spec()
-    f1 = beam.natural_frequencies(spec, 50.0)[0]
     _, red = beam.reduced_system(spec)
 
-    def sign_at(f):
+    def count_below(f):
         w = 2.0 * math.pi * f
-        return det_sign(red.k - w * w * red.m)
+        return int(np.count_nonzero(symmetric_pivots(red.k - w * w * red.m) < 0.0))
 
-    assert sign_at(0.95 * f1) != sign_at(1.05 * f1)
+    freqs = beam.natural_frequencies(spec, 200.0)
+    assert len(freqs) == 4
+    for i, f in enumerate(freqs):
+        assert count_below(0.99 * f) == i
+        assert count_below(1.01 * f) == i + 1
 
 
-def test_scan_points_validation():
-    with pytest.raises(InvalidSpec):
-        beam.natural_frequencies(beam.default_spec(), 200.0, scan_points=50)
+def test_zero_pivot_raises_singular_naming_frequency(monkeypatch):
+    monkeypatch.setattr(beam, "symmetric_pivots", lambda a: np.array([1.0, 0.0]))
+    with pytest.raises(Singular, match="f = 200.0 Hz"):
+        beam.natural_frequencies(beam.default_spec(), 200.0)
+
+
+def section_spec(width, height):
+    base = beam.default_spec()
+    return beam.BeamSpec(base.length, beam.CrossSection(width, height), base.material,
+                         base.n_elements, base.axis_direction, base.tip_load)
+
+
+def eigh_hz(spec):
+    import scipy.linalg
+    _, red = beam.reduced_system(spec)
+    return np.sqrt(scipy.linalg.eigh(red.k, red.m, eigvals_only=True)) / (2.0 * math.pi)
+
+
+# default section; two close bending planes; a square section with repeated roots
+SECTIONS = pytest.mark.parametrize("width, height", [(0.03, 0.02), (0.0201, 0.02), (0.02, 0.02)],
+                                   ids=["default", "close", "square"])
+
+
+@SECTIONS
+def test_natural_frequencies_match_eigh_with_multiplicity(width, height):
+    spec = section_spec(width, height)
+    ref = eigh_hz(spec)
+    ref = ref[ref <= 200.0]
+    freqs = beam.natural_frequencies(spec, 200.0)
+    assert len(freqs) == len(ref) == 4
+    npt.assert_allclose(freqs, ref, rtol=1e-6)
+
+
+@SECTIONS
+def test_default_damping_matches_eigh_first_mode(width, height):
+    spec = section_spec(width, height)
+    alpha, beta = beam.default_damping(spec)
+    assert alpha == 0.0
+    zeta = beta * (2.0 * math.pi * eigh_hz(spec)[0]) / 2.0
+    assert zeta == pytest.approx(0.01, rel=1e-6)
 
 
 # --- orientation equivariance --------------------------------------------------

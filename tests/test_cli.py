@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+import scipy.linalg
 
-from fem_surrogate import cli
+from fem_surrogate import beam, cli
 
 
 def run_cli(*args, env=None):
@@ -234,6 +236,21 @@ def test_eval_small_run_writes_artifacts(tmp_path):
     assert kv["experiment"] == "example2"
     assert "final_test_mse_scaled" in kv
     assert svg.read_text().count("<polyline") == 6
+
+
+def test_eval_close_bending_planes_tunes_beta_to_first_mode(tmp_path):
+    rc = cli.main(["eval", "--experiment", "example2", "--width", "0.0201", "--height", "0.02",
+                   "--grid-points", "40", "--epochs", "1", "--hidden", "8",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    kv = dict(line.split("=", 1)
+              for line in (tmp_path / "example2_metrics.txt").read_text().splitlines())
+    base = beam.default_spec()
+    spec = beam.BeamSpec(base.length, beam.CrossSection(0.0201, 0.02), base.material,
+                         base.n_elements, base.axis_direction, base.tip_load)
+    _, red = beam.reduced_system(spec)
+    f1 = math.sqrt(scipy.linalg.eigh(red.k, red.m, eigvals_only=True)[0]) / (2.0 * math.pi)
+    assert float(kv["beta"]) == pytest.approx(2.0 * 0.01 / (2.0 * math.pi * f1), rel=1e-5)
 
 
 def test_eval_unknown_flag_exits_2(tmp_path):

@@ -17,7 +17,6 @@ def test_identity_factors_trivially():
     f = numerics.lu_factor(np.eye(3))
     npt.assert_array_equal(f.lu, np.eye(3))
     npt.assert_array_equal(f.perm, np.arange(3))
-    assert f.parity == 1
 
 
 def test_permutation_matrix_pivots():
@@ -81,35 +80,42 @@ def test_multiple_right_hand_sides():
     npt.assert_allclose(a @ x, b, atol=1e-12)
 
 
-def test_singular_raises_and_det_sign_zero():
+def test_singular_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(Singular):
         numerics.lu_factor(a)
-    assert numerics.det_sign(a) == 0
-    assert numerics.det_sign(np.zeros((3, 3))) == 0
+    with pytest.raises(Singular):
+        numerics.lu_factor(np.zeros((3, 3)))
 
 
-def test_det_sign_basics():
-    assert numerics.det_sign(np.eye(3)) == 1
-    assert numerics.det_sign(np.diag([1.0, -1.0])) == -1
-    assert numerics.det_sign(np.diag([-1.0, -2.0, -3.0])) == -1
+def negative_pivots(a):
+    return int(np.count_nonzero(numerics.symmetric_pivots(a) < 0.0))
 
 
-def test_det_sign_matches_slogdet_on_random_matrices():
+def test_negative_pivots_match_eigvalsh_on_random_matrices():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        a = rng.standard_normal((9, 9))
-        expected, _ = np.linalg.slogdet(a)
-        assert numerics.det_sign(a) == int(expected)
+        b = rng.standard_normal((9, 9))
+        a = b + b.T
+        pivots = numerics.symmetric_pivots(a)
+        assert pivots.size == 9
+        assert negative_pivots(a) == np.count_nonzero(np.linalg.eigvalsh(a) < 0.0)
 
 
-def test_det_sign_flips_across_natural_frequency():
+def test_pivot_count_steps_across_natural_frequency():
     # 2-DOF spring-mass chain: eigenvalues of K are the squared frequencies
     k = np.diag([2.0, 3.0])
     m = np.eye(2)
-    assert numerics.det_sign(k - 1.5 * m) == 1
-    assert numerics.det_sign(k - 2.5 * m) == -1
-    assert numerics.det_sign(k - 3.5 * m) == 1
+    assert negative_pivots(k - 1.5 * m) == 0
+    assert negative_pivots(k - 2.5 * m) == 1
+    assert negative_pivots(k - 3.5 * m) == 2
+
+
+def test_symmetric_pivots_stop_at_zero_pivot():
+    pivots = numerics.symmetric_pivots(np.array([[1.0, 1.0, 0.0],
+                                                 [1.0, 1.0, 2.0],
+                                                 [0.0, 2.0, 5.0]]))
+    npt.assert_array_equal(pivots, [1.0, 0.0])
 
 
 def test_dimension_checks():
@@ -120,8 +126,6 @@ def test_dimension_checks():
     f = numerics.lu_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
         numerics.lu_solve(f, np.zeros(4))
-    with pytest.raises(DimensionMismatch):
-        numerics.det_sign(np.eye(2, dtype=complex))
 
 
 def test_symmetric_pivots_detect_definiteness():
