@@ -150,9 +150,9 @@ def test_criterion_06_limit_consistency():
     # double-precision representation floor eps * || |D|*|u| || / ||F||
     # reaches ~4e-9, so no double-precision solver can push the
     # F-normalized residual under 1e-10 there (LAPACK zgesv measures worse
-    # than this solver; extended-precision refinement stalls at ~3e-10).
-    # The solver's normwise backward error is ~6e-18.  Kept faithful to the
-    # stated tolerance rather than weakened.
+    # than this solver, 9.3e-10 against 6.0e-10; extended-precision
+    # refinement stalls at ~3e-10).  The solver's normwise backward error
+    # is ~8e-18.  Kept faithful to the stated tolerance rather than weakened.
     spec = beam.default_spec()
     damping = beam.default_damping(spec)
     _, red = beam.reduced_system(spec, damping)

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from fem_surrogate.errors import (
+    DimensionMismatch,
     EmptySystem,
     InvalidDamping,
     InvalidSpec,
@@ -317,6 +318,14 @@ def test_harmonic_undamped_resonance_is_singular():
         beam.harmonic_solve(k, m, None, np.array([1.0]), f_res)
 
 
+def test_harmonic_rejects_mismatched_shapes():
+    k, m, c = np.eye(3), np.eye(3), 0.1 * np.eye(3)
+    with pytest.raises(DimensionMismatch):
+        beam.harmonic_solve(k, m, c, np.ones(1), 1.0)
+    with pytest.raises(DimensionMismatch):
+        beam.harmonic_solve(k, np.eye(2), c, np.ones(3), 1.0)
+
+
 def test_harmonic_peaks_near_first_mode():
     spec = beam.default_spec()
     f1 = beam.natural_frequencies(spec, 50.0)[0]
@@ -333,10 +342,18 @@ def test_max_displacements_contract():
     spec = straight_spec(n_elements=4)
     model = beam.build_mesh(spec)
     n_free = model.free_dofs.size
-    assert beam.max_displacements(np.zeros(n_free, dtype=complex), model) == (0.0, 0.0, 0.0)
+    npt.assert_array_equal(
+        beam.max_displacements(np.zeros(n_free, dtype=complex), model), [0.0, 0.0, 0.0])
     u = np.zeros(n_free, dtype=complex)
     u[-6] = 1.0 + 0.0j  # tip node ux
-    assert beam.max_displacements(u, model) == (1.0, 0.0, 0.0)
+    npt.assert_array_equal(beam.max_displacements(u, model), [1.0, 0.0, 0.0])
+    v = np.zeros(n_free, dtype=complex)
+    v[2] = -2.0j        # first free node: uz counts,
+    v[5] = 7.0          # its rotation rz does not
+    npt.assert_array_equal(beam.max_displacements(np.stack([u, v, u + v]), model),
+                           [[1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
+    with pytest.raises(DimensionMismatch):
+        beam.max_displacements(np.zeros((2, 3, n_free)), model)
 
 
 # --- sweep -------------------------------------------------------------------
@@ -382,6 +399,67 @@ def test_sweep_damping_sensitivity():
     assert len(off) >= 20
     rel = np.abs(half.uy_max[off] - full.uy_max[off]) / full.uy_max[off]
     assert rel.max() < 0.01
+
+
+@pytest.mark.parametrize("n_points", [1, 15, 16, 17, 33])
+def test_sweep_rows_bit_equal_one_frequency_solves(n_points):
+    # 1, 15, 16, 17 and 33 points straddle the 16-frequency chunk edges
+    spec = beam.default_spec()
+    damping = (0.0, 2e-4)
+    grid = osc.FrequencyGrid.uniform(3.0, 190.0, n_points)
+    table = beam.frequency_sweep(spec, grid, damping)
+    model, red = beam.reduced_system(spec, damping)
+    for i, f in enumerate(grid.values):
+        npt.assert_array_equal(
+            table.outputs()[i],
+            beam.max_displacements(beam.harmonic_solve(red.k, red.m, red.c, red.f, f), model))
+
+
+def test_default_sweep_matches_scipy_solve():
+    """Each row against scipy.linalg.solve of the dense D_f, normwise per
+    row (deviation over the row's largest channel): a channel far below the
+    others, such as uy near its 10 Hz anti-resonance, carries the solution's
+    normwise error, so both solvers differ there by a few 1e-9 of it."""
+    import scipy.linalg
+    spec = beam.default_spec()
+    damping = beam.default_damping(spec)
+    table = beam.frequency_sweep(spec, beam.default_grid(), damping).outputs()
+    model, red = beam.reduced_system(spec, damping)
+    for i, f in enumerate(beam.default_grid().values):
+        w = 2.0 * math.pi * f
+        ref = beam.max_displacements(
+            scipy.linalg.solve(red.k - w * w * red.m + 1j * w * red.c, red.f), model)
+        assert np.abs(table[i] - ref).max() <= 1e-9 * ref.max()
+
+
+def test_sweep_collects_every_singular_frequency(monkeypatch, tmp_path):
+    grid = osc.FrequencyGrid.uniform(1.0, 40.0, 40)
+    broken = grid.values[[0, 3, 15, 16, 20, 33, 39]]
+    build = beam._dynamic_bands
+
+    def with_zero_row(bands, freqs):
+        dyn = build(bands, freqs)
+        dyn[np.isin(freqs, broken), 0, :] = 0.0
+        return dyn
+
+    monkeypatch.setattr(beam, "_dynamic_bands", with_zero_row)
+    with pytest.raises(Singular) as info:
+        beam.frequency_sweep(beam.default_spec(), grid, (0.0, 2e-4))
+    message = str(info.value)
+    assert message.startswith("7 sweep frequencies failed")
+    for f in broken[:5]:
+        assert f"f = {f} Hz: pivot" in message
+    assert f"f = {broken[5]} Hz" not in message
+    with pytest.raises(Singular, match="dynamic matrix singular at f = 16.0 Hz: pivot"):
+        _, red = beam.reduced_system(beam.default_spec(), (0.0, 2e-4))
+        beam.harmonic_solve(red.k, red.m, red.c, red.f, 16.0)
+
+    from fem_surrogate import cli
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["generate", "--experiment", "example2", "--grid-start", "1",
+                   "--grid-stop", "40", "--grid-points", "40", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
 
 
 def test_sweep_csv_round_trip(tmp_path):
