@@ -10,11 +10,12 @@ elimination.  The steady-state response solves
     (K - w^2 M + i w C) u = F,  w = 2*pi*f,
 
 with Rayleigh damping C = alpha*M + beta*K.  Natural frequencies come from
-bisection on the count of negative LDL^T pivots of K - w^2 M (a Sturm
+multisection on the count of negative LDL^T pivots of K - w^2 M (a Sturm
 sequence check); only a handful of validation modes are needed, so no full
 eigensolver.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -27,13 +28,7 @@ from .errors import (
     InvalidSpec,
     Singular,
 )
-from .numerics import (
-    band_solve_refined,
-    band_storage,
-    bandwidth,
-    solve_refined,
-    symmetric_pivots,
-)
+from .numerics import band_ldlt, band_ldlt_refined, band_storage, bandwidth
 from .oscillator import FrequencyGrid
 
 
@@ -96,6 +91,25 @@ class CrossSection:
         return a * b ** 3 * (1.0 / 3.0 - 0.21 * (b / a) * (1.0 - b ** 4 / (12.0 * a ** 4)))
 
 
+# Memory budget for the arrays that grow with the mesh.  The model is still
+# assembled dense: while the reduced system is built, the full K and M
+# (n_dof^2 each) and five reduced n_free^2 arrays (K, M, C and the two
+# temporaries of C = alpha M + beta K, or later the two of the symmetry
+# check) are alive at once.
+MEMORY_BUDGET = 1 << 30  # bytes
+
+
+def dense_model_bytes(n_elements: int) -> int:
+    """Peak bytes of the dense matrices of an n_elements mesh."""
+    n_dof = 6 * (n_elements + 1)
+    n_free = n_dof - 6
+    return 8 * (2 * n_dof ** 2 + 5 * n_free ** 2)
+
+
+# The largest mesh whose dense matrices fit MEMORY_BUDGET (729 elements).
+MAX_ELEMENTS = bisect.bisect_right(range(10 ** 6), MEMORY_BUDGET, key=dense_model_bytes) - 1
+
+
 @dataclass(frozen=True)
 class BeamSpec:
     length: float
@@ -113,6 +127,11 @@ class BeamSpec:
             raise InvalidSpec(f"length must be > 0, got {self.length}")
         if self.n_elements < 2:
             raise InvalidSpec(f"n_elements must be >= 2, got {self.n_elements}")
+        if self.n_elements > MAX_ELEMENTS:
+            raise InvalidSpec(
+                f"n_elements must be <= {MAX_ELEMENTS}, got {self.n_elements}: its dense "
+                f"matrices need {dense_model_bytes(self.n_elements) / 2 ** 30:.3g} GiB, "
+                f"over the {MEMORY_BUDGET / 2 ** 30:g} GiB budget")
         axis = np.asarray(self.axis_direction, dtype=float)
         if axis.shape != (3,) or not np.all(np.isfinite(axis)):
             raise InvalidSpec("axis_direction must be a finite 3-vector")
@@ -141,9 +160,13 @@ class BeamSpec:
 STEEL = Material(youngs_modulus=193e9, poisson_ratio=0.29, density=8000.0)
 DEFAULT_GRID = (1.0, 200.0, 400)
 # Sweep frequencies factored per batch: a larger batch spreads the per-step
-# Python overhead of the band LU, a smaller one bounds the working arrays
-# (all 400 default frequencies at once raise peak memory by about 50 MiB).
-_SWEEP_CHUNK = 16
+# Python overhead of the band LDL^T, a smaller one bounds the working arrays
+# (a default generate peaks 1.1 MiB over its start at 16, 2.4 at 32, 5 at 64).
+_SWEEP_CHUNK = 32
+# Shifts per open bracket and round of the mode finder's multisection: each
+# round cuts every bracket (_SHIFTS + 1)-fold with one batched elimination.
+# On the default beam 4 was the fastest of 2, 4, 8 and 16 (11 rounds).
+_SHIFTS = 4
 
 
 def default_spec() -> BeamSpec:
@@ -296,6 +319,10 @@ def assemble(model: BeamModel, spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     k_loc, m_loc = element_matrices(spec, 0)  # uniform mesh: all elements equal
     k_glob = rot.T @ k_loc @ rot
     m_glob = rot.T @ m_loc @ rot
+    # the rotation leaves a rounding-level asymmetry; the band solvers read
+    # one triangle, so scatter exactly symmetric blocks
+    k_glob = 0.5 * (k_glob + k_glob.T)
+    m_glob = 0.5 * (m_glob + m_glob.T)
 
     for i, j in model.elements:
         dofs = np.r_[6 * i: 6 * i + 6, 6 * j: 6 * j + 6]
@@ -352,28 +379,34 @@ def rayleigh_damping(k, m, alpha: float, beta: float) -> np.ndarray:
 
 
 def static_solve(k, f) -> np.ndarray:
-    """u = K^-1 F on the reduced system."""
-    return solve_refined(np.asarray(k, dtype=float), np.asarray(f, dtype=float))
+    """u = K^-1 F on the reduced system: the harmonic solve at w = 0, in
+    real arithmetic."""
+    u, failures = _solve_frequencies(_bands(k), f, np.zeros(1))
+    if failures:
+        raise Singular(f"stiffness matrix singular at {failures[0]}")
+    return u[0]
 
 
-def _bands(k, m, c) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Row-band storage of K, M and C (or None) at their common
-    half-bandwidth."""
-    mats = [np.asarray(x, dtype=float) for x in (k, m, c) if x is not None]
-    if any(x.shape != mats[0].shape for x in mats):
+def _bands(k, m=None, c=None) -> tuple[np.ndarray, ...]:
+    """Upper band storage of K and, where given, M and C (else None) at
+    their common half-bandwidth; raises DimensionMismatch unless they are
+    square, of one shape and symmetric."""
+    mats = [None if x is None else np.asarray(x, dtype=float) for x in (k, m, c)]
+    given = [x for x in mats if x is not None]
+    if any(x.shape != given[0].shape for x in given):
         raise DimensionMismatch(
-            f"K, M and C must share one shape, got {[x.shape for x in mats]}")
-    b = max(bandwidth(x) for x in mats)
-    kb, mb, *cb = (band_storage(x, b) for x in mats)
-    return kb, mb, (cb[0] if cb else None)
+            f"K, M and C must share one shape, got {[x.shape for x in given]}")
+    b = max(bandwidth(x) for x in given)
+    return tuple(None if x is None else band_storage(x, b) for x in mats)
 
 
 def _dynamic_bands(bands, freqs: np.ndarray) -> np.ndarray:
-    """Row-band storage of D = K - w^2 M + i w C at each frequency, shape
-    (len(freqs), n, 2b+1); real when the damping term vanishes."""
+    """Upper band storage of D = K - w^2 M + i w C at each frequency, shape
+    (len(freqs), n, b+1); real when the damping term vanishes.  A missing M
+    or C counts as zero."""
     kb, mb, cb = bands
     w = (2.0 * math.pi * freqs)[:, None, None]
-    stiff = kb - w * w * mb
+    stiff = kb - w * w * (0.0 if mb is None else mb)
     if cb is None or not np.any(w):
         return stiff
     dyn = np.empty(stiff.shape, dtype=complex)
@@ -389,9 +422,9 @@ def _solve_frequencies(bands, f, freqs: np.ndarray) -> tuple[np.ndarray, list[st
     rhs = np.asarray(f, dtype=dyn.dtype)
     if rhs.shape != dyn.shape[1:2]:
         raise DimensionMismatch(f"load shape {rhs.shape} does not match {dyn.shape[1]} DOFs")
-    u, lu = band_solve_refined(dyn, np.broadcast_to(rhs, dyn.shape[:2]))
-    failures = [f"f = {freqs[s]} Hz: {lu.failure(s)}" for s in np.flatnonzero(lu.bad >= 0)]
-    return u.astype(complex, copy=False), failures
+    u, fac = band_ldlt_refined(dyn, np.broadcast_to(rhs, dyn.shape[:2]))
+    failures = [f"f = {freqs[s]} Hz: {fac.failure(s)}" for s in np.flatnonzero(fac.bad >= 0)]
+    return u, failures
 
 
 def harmonic_solve(k, m, c, f, freq_hz: float) -> np.ndarray:
@@ -400,12 +433,13 @@ def harmonic_solve(k, m, c, f, freq_hz: float) -> np.ndarray:
     This is the sweep's batched band solve run on a one-frequency batch, so
     it reproduces a sweep row bit for bit.  When the damping term vanishes
     the dynamic matrix is real and the solve stays in real arithmetic, so
-    the w = 0 result is bit-identical to static_solve.
+    the w = 0 result is bit-identical to static_solve.  K, M and C must be
+    symmetric: only their upper triangles are read.
     """
     u, failures = _solve_frequencies(_bands(k, m, c), f, np.array([freq_hz], dtype=float))
     if failures:
         raise Singular(f"dynamic matrix singular at {failures[0]}")
-    return u[0]
+    return u[0].astype(complex, copy=False)
 
 
 def max_displacements(u, model: BeamModel) -> np.ndarray:
@@ -496,36 +530,36 @@ def natural_frequencies(spec: BeamSpec, f_max: float) -> list[float]:
     The number of negative pivots of the LDL^T elimination of K - w^2 M is
     the number of natural frequencies below f (Sylvester's law of inertia;
     the Sturm sequence check of Bathe, Finite Element Procedures, 11.4.3).
-    Root i is the smallest f whose count reaches i, bisected to a relative
-    tolerance of 1e-6.  A zero pivot at a probed f raises Singular.
+    Root i is the smallest f whose count reaches i, found by multisection
+    (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987): every round
+    counts at _SHIFTS evenly spaced shifts inside every open bracket, all in
+    one batched elimination, until each bracket is within a relative 1e-6.
+    A zero pivot at a probed f raises Singular.
     """
     if not f_max > 0.0:
         raise InvalidSpec(f"f_max must be > 0, got {f_max}")
     _, red = reduced_system(spec)
+    bands = _bands(red.k, red.m)
+    counts = {0.0: 0}  # K is positive definite
 
-    def count_below(f):
-        w = 2.0 * math.pi * f
-        pivots = symmetric_pivots(red.k - w * w * red.m)
-        if pivots[-1] == 0.0:
-            raise Singular(f"K - w^2 M has a zero pivot at f = {f} Hz")
-        return int(np.count_nonzero(pivots < 0.0))
+    def bracket(i):
+        """Tightest known [lo, hi] with count(lo) < i <= count(hi)."""
+        return (max(f for f, c in counts.items() if c < i),
+                min(f for f, c in counts.items() if c >= i))
 
-    counts = {0.0: 0, f_max: count_below(f_max)}  # K is positive definite
-    roots = []
-    while len(roots) < counts[f_max]:
-        i = len(roots) + 1
-        lo = max(f for f, c in counts.items() if c < i)
-        hi = min(f for f, c in counts.items() if c >= i)
-        while hi - lo > 1e-6 * hi:
-            mid = 0.5 * (lo + hi)
-            counts[mid] = count_below(mid)
-            if counts[mid] >= i:
-                hi = mid
-            else:
-                lo = mid
-        # every root from i up to counts[hi] lies in [lo, hi)
-        roots.extend([0.5 * (lo + hi)] * (counts[hi] - len(roots)))
-    return roots
+    steps = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
+    shifts = np.linspace(0.0, f_max, _SHIFTS + 2)[1:]  # f_max itself, first round only
+    while shifts.size:
+        pivots = band_ldlt(_dynamic_bands(bands, shifts)).d
+        zero = (pivots == 0.0).any(axis=1)
+        if zero.any():
+            raise Singular(f"K - w^2 M has a zero pivot at f = {shifts[zero.argmax()]} Hz")
+        counts.update(zip(shifts.tolist(), np.count_nonzero(pivots < 0.0, axis=1).tolist()))
+        open_ = {(lo, hi) for lo, hi in map(bracket, range(1, counts[f_max] + 1))
+                 if hi - lo > 1e-6 * hi}
+        shifts = np.array([lo + (hi - lo) * t for lo, hi in sorted(open_) for t in steps])
+    # every root sharing a bracket lies in it and gets its midpoint
+    return [0.5 * (lo + hi) for lo, hi in map(bracket, range(1, counts[f_max] + 1))]
 
 
 def default_damping(spec: BeamSpec, target_zeta: float = 0.01,

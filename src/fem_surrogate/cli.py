@@ -30,6 +30,14 @@ EXIT_DATA = 3
 EXIT_TRAINING = 4
 EXIT_MODEL = 5
 
+# Memory per grid point, the largest of the pipelines: the full-grid forward
+# pass through the widest default layer (200 units) holds up to four
+# float64 arrays of that width (5.3 kB per point measured), the CSV rows
+# under 1 KiB of Python objects and text (0.3 kB measured).  --grid-points
+# is bounded by the beam model's memory budget.
+GRID_POINT_BYTES = 8 * 4 * 200 + 1024
+MAX_GRID_POINTS = beam_mod.MEMORY_BUDGET // GRID_POINT_BYTES
+
 
 def _vector3(text: str) -> list[float]:
     parts = text.split(",")
@@ -177,6 +185,15 @@ def _check_out_path(path) -> None:
         raise ConfigError(f"output directory is not writable: {parent}")
 
 
+def _grid(start, stop, n) -> osc_mod.FrequencyGrid:
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"--grid-points must be <= {MAX_GRID_POINTS}, got {n}: about "
+            f"{GRID_POINT_BYTES} bytes per point would exceed the "
+            f"{beam_mod.MEMORY_BUDGET / 2 ** 30:g} GiB budget")
+    return osc_mod.FrequencyGrid.uniform(start, stop, n)
+
+
 def _grid_or(args, default_tuple) -> osc_mod.FrequencyGrid:
     start, stop, n = default_tuple
     if args.grid_start is not None:
@@ -185,7 +202,7 @@ def _grid_or(args, default_tuple) -> osc_mod.FrequencyGrid:
         stop = args.grid_stop
     if args.grid_points is not None:
         n = args.grid_points
-    return osc_mod.FrequencyGrid.uniform(start, stop, n)
+    return _grid(start, stop, n)
 
 
 def _osc_params(args) -> osc_mod.OscillatorParams:
@@ -329,7 +346,7 @@ def cmd_predict(args) -> int:
     lo = meta.get("freq_min_hz", 0.0) if args.grid_start is None else args.grid_start
     hi = meta.get("freq_max_hz", 1.0) if args.grid_stop is None else args.grid_stop
     n = 200 if args.grid_points is None else args.grid_points
-    grid = osc_mod.FrequencyGrid.uniform(lo, hi, n)
+    grid = _grid(lo, hi, n)
     pred = surrogate.predict_batch(model, grid.values)
     header = ["freq_hz"] + [f"pred_{c + 1}" for c in range(pred.shape[1])]
     dataset.write_rows(args.out, header, np.column_stack([grid.values, pred]))

@@ -326,6 +326,36 @@ def test_harmonic_rejects_mismatched_shapes():
         beam.harmonic_solve(k, np.eye(2), c, np.ones(3), 1.0)
 
 
+@pytest.mark.parametrize("which", ["k", "m", "c"])
+def test_harmonic_and_static_reject_nonsymmetric_input(which):
+    # the band solvers read one triangle: an asymmetric matrix must raise,
+    # not be solved as its upper half mirrored
+    mats = {"k": np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]),
+            "m": np.eye(3), "c": 0.1 * np.eye(3)}
+    mats[which] = mats[which] + np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    f = np.ones(3)
+    with pytest.raises(DimensionMismatch, match="not symmetric"):
+        beam.harmonic_solve(mats["k"], mats["m"], mats["c"], f, 2.0)
+    with pytest.raises(DimensionMismatch, match="not symmetric"):
+        beam.static_solve(mats[which], f)
+
+
+def test_dynamic_pivots_have_positive_imaginary_part():
+    """Why the sweep needs no pivoting: with Rayleigh damping Im D = wC is
+    positive definite, and so is every Schur complement's imaginary part,
+    so no pivot can vanish."""
+    from fem_surrogate import numerics
+    spec = beam.default_spec()
+    _, red = beam.reduced_system(spec, beam.default_damping(spec))
+    b = numerics.bandwidth(red.k)
+    dyn = []
+    for f in beam.default_grid().values:
+        w = 2.0 * math.pi * f
+        dyn.append(numerics.band_storage(red.k - w * w * red.m + 1j * w * red.c, b))
+    pivots = numerics.band_ldlt(np.stack(dyn)).d
+    assert np.all(pivots.imag > 0.0)
+
+
 def test_harmonic_peaks_near_first_mode():
     spec = beam.default_spec()
     f1 = beam.natural_frequencies(spec, 50.0)[0]
@@ -401,9 +431,10 @@ def test_sweep_damping_sensitivity():
     assert rel.max() < 0.01
 
 
-@pytest.mark.parametrize("n_points", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("n_points", [1, 15, 16, 17, 31, 32, 33, 64, 65])
 def test_sweep_rows_bit_equal_one_frequency_solves(n_points):
-    # 1, 15, 16, 17 and 33 points straddle the 16-frequency chunk edges
+    # 31, 32, 33, 64 and 65 points straddle the 32-frequency chunk edges
+    # (15, 16 and 17 those of an earlier 16-frequency chunk)
     spec = beam.default_spec()
     damping = (0.0, 2e-4)
     grid = osc.FrequencyGrid.uniform(3.0, 190.0, n_points)
@@ -542,7 +573,14 @@ def test_pivot_count_steps_by_one_across_modes():
 
 
 def test_zero_pivot_raises_singular_naming_frequency(monkeypatch):
-    monkeypatch.setattr(beam, "symmetric_pivots", lambda a: np.array([1.0, 0.0]))
+    build = beam._dynamic_bands
+
+    def zero_pivot_at_f_max(bands, freqs):
+        dyn = build(bands, freqs)
+        dyn[freqs == 200.0, 0, :] = 0.0
+        return dyn
+
+    monkeypatch.setattr(beam, "_dynamic_bands", zero_pivot_at_f_max)
     with pytest.raises(Singular, match="f = 200.0 Hz"):
         beam.natural_frequencies(beam.default_spec(), 200.0)
 

@@ -78,6 +78,33 @@ def test_generate_invalid_n_elements_exits_2(tmp_path):
     assert "n_elements" in res.stderr
 
 
+def test_n_elements_bound_from_memory_model(tmp_path, capsys):
+    # the bound is checked through its estimate; no such mesh is built
+    top = beam.MAX_ELEMENTS
+    assert beam.dense_model_bytes(top) <= beam.MEMORY_BUDGET < beam.dense_model_bytes(top + 1)
+    spec = beam.default_spec()
+    beam.BeamSpec(spec.length, spec.section, spec.material, top,
+                  spec.axis_direction, spec.tip_load)
+    out = tmp_path / "x.csv"
+    assert cli.main(["generate", "--experiment", "example2", "--out", str(out),
+                     "--n-elements", str(top + 1)]) == 2
+    assert f"n_elements must be <= {top}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "eval", "predict"])
+def test_grid_points_bound_from_memory_model(tmp_path, capsys, command, beam_model):
+    top = cli.MAX_GRID_POINTS
+    assert top * cli.GRID_POINT_BYTES <= beam.MEMORY_BUDGET < (top + 1) * cli.GRID_POINT_BYTES
+    out = tmp_path / "x.csv"
+    argv = {"generate": ["generate", "--experiment", "example1", "--out", str(out)],
+            "eval": ["eval", "--experiment", "example2", "--out-dir", str(tmp_path)],
+            "predict": ["predict", "--model", str(beam_model), "--out", str(out)]}[command]
+    assert cli.main(argv + ["--grid-points", str(top + 1)]) == 2
+    assert f"--grid-points must be <= {top}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_invalid_grid_exits_2(tmp_path):
     res = run_cli("generate", "--experiment", "example1",
                   "--out", str(tmp_path / "x.csv"),

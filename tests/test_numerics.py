@@ -3,117 +3,120 @@ import numpy.testing as npt
 import pytest
 
 from fem_surrogate.errors import DimensionMismatch, Singular
-from fem_surrogate import numerics
+from fem_surrogate import beam, numerics
 
 
-def reconstruct(f, s=0):
-    """(perm, L, U) with A[perm] = L @ U, from member s's LINPACK-form band
-    factors: each exchange also moves the multipliers already in L."""
+def ldlt_product(f, s=0):
+    """L D L^T rebuilt from member s's band factors."""
     n, b = f.n, f.b
-    perm = np.arange(n)
-    low = np.eye(n, dtype=f.u.dtype)
-    up = np.zeros((n, n), dtype=f.u.dtype)
+    low = np.eye(n, dtype=f.d.dtype)
     for k in range(n):
-        p = f.piv[s, k]
-        perm[[k, p]] = perm[[p, k]]
-        low[[k, p], :k] = low[[p, k], :k]
         below = min(b, n - 1 - k)
         low[k + 1:k + 1 + below, k] = f.l[s, k, :below]
-        for j in range(2 * b + 1):
-            if k - 2 * b + j >= 0:
-                up[k - 2 * b + j, k] = f.u[s, k, j]
-    return perm, low, up
+    return low @ np.diag(f.d[s]) @ low.T
 
 
-def reconstruction_error(f, a):
-    perm, low, up = reconstruct(f)
-    return np.abs(low @ up - a[perm]).max()
+def factor(a):
+    """One-member factors of a dense symmetric matrix."""
+    return numerics.band_ldlt(numerics.band_storage(a, numerics.bandwidth(a))[None])
+
+
+def solve(a, rhs):
+    """One-member solve without refinement, rhs (n,) or (n, m)."""
+    f = factor(a)
+    assert f.failure(0) is None
+    return numerics.band_ldlt_solve(f, np.asarray(rhs)[None])[0]
+
+
+def symmetric(rng, shape, complex_=False):
+    """Random symmetric matrices (exactly: A + A^T); a complex one gets a
+    positive definite imaginary part, the class of the damped dynamic
+    matrices."""
+    a = rng.standard_normal(shape)
+    a = a + np.swapaxes(a, -1, -2)
+    if complex_:
+        c = rng.standard_normal(shape)
+        c = c + np.swapaxes(c, -1, -2)
+        n = shape[-1]
+        c = c + np.abs(c).sum(axis=-1)[..., None] * np.eye(n)  # diagonally dominant
+        a = a + 1j * c
+    return a
 
 
 def test_identity_factors_trivially():
-    f = numerics.lu_factor(np.eye(3))
+    f = factor(np.eye(3))
     assert f.b == 0
-    npt.assert_array_equal(f.u, np.ones((1, 3, 1)))
-    npt.assert_array_equal(f.piv, [[0, 1, 2]])
-    perm, low, up = reconstruct(f)
-    npt.assert_array_equal(perm, np.arange(3))
-    npt.assert_array_equal(low, np.eye(3))
-    npt.assert_array_equal(up, np.eye(3))
-
-
-def test_permutation_matrix_pivots():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = numerics.solve(a, np.array([1.0, 2.0]))
-    npt.assert_allclose(x, [2.0, 1.0], rtol=0, atol=0)
+    npt.assert_array_equal(f.d, np.ones((1, 3)))
+    assert f.l.shape == (1, 3, 0)
+    npt.assert_array_equal(f.bad, [-1])
+    npt.assert_array_equal(ldlt_product(f), np.eye(3))
 
 
 def test_diagonal_solve():
-    x = numerics.solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
+    x = solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
     npt.assert_allclose(x, [1.0, 2.0], rtol=0, atol=0)
 
 
 def test_complex_diagonal_solve():
     a = np.array([[1j, 0.0], [0.0, 1.0]])
-    x = numerics.solve(a, np.array([1j, 5.0]))
+    x = solve(a, np.array([1j, 5.0]))
     npt.assert_allclose(x, [1.0, 5.0], rtol=1e-15)
 
 
 def test_identity_rhs_passthrough():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(7)
-    npt.assert_array_equal(numerics.solve(np.eye(7), b), b)
+    npt.assert_array_equal(solve(np.eye(7), b), b)
 
 
 def test_diagonally_dominant_residual():
     rng = np.random.default_rng(1)
     n = 50
-    a = rng.standard_normal((n, n))
+    a = symmetric(rng, (n, n))
     a += np.diag(np.abs(a).sum(axis=1))
     b = rng.standard_normal(n)
-    x = numerics.lu_solve(numerics.lu_factor(a), b)
+    x = solve(a, b)
     assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 20, 87, 200])
 def test_reconstruction_bound(n):
     rng = np.random.default_rng(n)
-    a = rng.standard_normal((n, n))
-    f = numerics.lu_factor(a)
-    assert reconstruction_error(f, a) <= 1e-12 * np.abs(a).max()
+    a = symmetric(rng, (n, n))
+    f = factor(a)
+    assert np.abs(ldlt_product(f) - a).max() <= 1e-12 * np.abs(a).max()
 
 
 def test_complex_reconstruction_and_solve():
     rng = np.random.default_rng(5)
     n = 40
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    f = numerics.lu_factor(a)
-    assert reconstruction_error(f, a) <= 1e-12 * np.abs(a).max()
+    a = symmetric(rng, (n, n), complex_=True)
+    f = factor(a)
+    assert np.abs(ldlt_product(f) - a).max() <= 1e-12 * np.abs(a).max()
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = numerics.lu_solve(f, b)
+    x = numerics.band_ldlt_solve(f, b[None])[0]
     npt.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-10)
 
 
 def test_multiple_right_hand_sides():
     rng = np.random.default_rng(9)
-    a = rng.standard_normal((12, 12)) + np.eye(12) * 6.0
+    a = symmetric(rng, (12, 12)) + np.eye(12) * 6.0
     b = rng.standard_normal((12, 4))
-    x = numerics.lu_solve(numerics.lu_factor(a), b)
+    x = solve(a, b)
     npt.assert_allclose(a @ x, b, atol=1e-12)
 
 
 def test_singular_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(Singular):
-        numerics.lu_factor(a)
-    with pytest.raises(Singular):
-        numerics.lu_factor(np.zeros((3, 3)))
+    with pytest.raises(Singular, match="pivot 1 below tolerance"):
+        beam.static_solve(a, np.ones(2))
+    with pytest.raises(Singular, match="zero matrix"):
+        beam.static_solve(np.zeros((3, 3)), np.ones(3))
 
 
 def random_band(rng, n, b, complex_=False, batch=None):
     shape = (n, n) if batch is None else (batch, n, n)
-    a = rng.standard_normal(shape)
-    if complex_:
-        a = a + 1j * rng.standard_normal(shape)
+    a = symmetric(rng, shape, complex_)
     i, j = np.indices((n, n))
     return np.where(np.abs(i - j) <= b, a, 0.0)
 
@@ -126,27 +129,17 @@ def test_band_matrices_match_numpy_solve(b, complex_):
     a = random_band(rng, n, b, complex_, batch=5)
     rhs = rng.standard_normal((5, n, 2)) + (1j * rng.standard_normal((5, n, 2)) if complex_ else 0)
     ab = np.stack([numerics.band_storage(m, b) for m in a])
-    f = numerics.band_lu(ab)
+    f = numerics.band_ldlt(ab)
     npt.assert_array_equal(f.bad, -1)
-    x = numerics.band_lu_solve(f, rhs)
+    x = numerics.band_ldlt_solve(f, rhs)
+    refined, _ = numerics.band_ldlt_refined(ab, rhs)
     for s in range(5):
         assert numerics.bandwidth(a[s]) == b
-        assert reconstruction_error(numerics.lu_factor(a[s]), a[s]) <= 1e-12 * np.abs(a[s]).max()
+        assert np.abs(ldlt_product(f, s) - a[s]).max() <= 1e-12 * np.abs(a[s]).max()
         ref = np.linalg.solve(a[s], rhs[s])
         bound = 1e-13 * np.linalg.cond(a[s]) * np.linalg.norm(ref)
         assert np.linalg.norm(x[s] - ref) <= bound
-        assert np.linalg.norm(numerics.solve(a[s], rhs[s]) - ref) <= bound
-
-
-def test_dense_solve_matches_scipy_on_nonsymmetric_band():
-    import scipy.linalg
-    rng = np.random.default_rng(23)
-    a = random_band(rng, 40, 5, complex_=True)
-    a[7, 2] = 0.0    # a hole inside the band leaves the bandwidth alone
-    a[0, 9] = 0.5    # one entry further out sets it
-    assert numerics.bandwidth(a) == 9
-    b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    npt.assert_allclose(numerics.solve_refined(a, b), scipy.linalg.solve(a, b), rtol=1e-10)
+        assert np.linalg.norm(refined[s] - ref) <= bound
 
 
 def test_batched_members_bit_equal_one_member_solves():
@@ -154,11 +147,11 @@ def test_batched_members_bit_equal_one_member_solves():
     n, b, batch = 15, 3, 6
     ab = np.stack([numerics.band_storage(m, b) for m in random_band(rng, n, b, True, batch)])
     rhs = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
-    x, f = numerics.band_solve_refined(ab, rhs)
+    x, f = numerics.band_ldlt_refined(ab, rhs)
     for s in range(batch):
-        x1, f1 = numerics.band_solve_refined(ab[s:s + 1], rhs[s:s + 1])
+        x1, f1 = numerics.band_ldlt_refined(ab[s:s + 1], rhs[s:s + 1])
         npt.assert_array_equal(x[s:s + 1], x1)
-        for name in ("l", "u", "piv"):
+        for name in ("l", "d"):
             npt.assert_array_equal(getattr(f, name)[s:s + 1], getattr(f1, name))
 
 
@@ -167,19 +160,31 @@ def test_singular_member_leaves_rest_of_batch_alone():
     # flag the small member, so the tolerance must stay per member
     a = np.array([[[4.0, 1.0], [1.0, 3.0]],
                   [[1.0, 2.0], [2.0, 4.0]],
-                  [[2.0, 1.0], [0.0, 5.0]]]) * np.array([1e20, 1.0, 1e-20])[:, None, None]
+                  [[2.0, 1.0], [1.0, 5.0]]]) * np.array([1e20, 1.0, 1e-20])[:, None, None]
     ab = np.stack([numerics.band_storage(m, 1) for m in a])
     rhs = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, -1.0]])
-    x, f = numerics.band_solve_refined(ab, rhs)
+    x, f = numerics.band_ldlt_refined(ab, rhs)
     npt.assert_array_equal(f.bad, [-1, 1, -1])
     npt.assert_array_equal(f.tol, 1e-13 * np.abs(a).max(axis=(1, 2)))
     assert f.failure(0) is None
     assert f.failure(1).startswith("pivot 1 below tolerance")
     for s in (0, 2):
-        npt.assert_array_equal(x[s], numerics.band_solve_refined(ab[s:s + 1], rhs[s:s + 1])[0][0])
+        npt.assert_array_equal(x[s], numerics.band_ldlt_refined(ab[s:s + 1], rhs[s:s + 1])[0][0])
         npt.assert_allclose(x[s], np.linalg.solve(a[s], rhs[s]), rtol=1e-14)
-    zero = numerics.band_lu(np.zeros((2, 3, 1)) + np.array([0.0, 1.0])[:, None, None])
+    zero = numerics.band_ldlt(np.zeros((2, 3, 1)) + np.array([0.0, 1.0])[:, None, None])
     assert zero.failure(0) == "zero matrix" and zero.failure(1) is None
+
+
+def test_entries_past_the_edge_are_ignored():
+    rng = np.random.default_rng(41)
+    a = random_band(rng, 6, 2, complex_=True)
+    ab = numerics.band_storage(a, 2)[None]
+    junk = ab.copy()
+    junk[0, -1, 1:] = 7.0      # would be A[5, 6], A[5, 7]: outside the matrix
+    junk[0, -2, 2] = -3.0
+    rhs = rng.standard_normal((1, 6))
+    npt.assert_array_equal(numerics.band_ldlt_refined(junk, rhs)[0],
+                           numerics.band_ldlt_refined(ab, rhs)[0])
 
 
 def negative_pivots(a):
@@ -214,18 +219,20 @@ def test_symmetric_pivots_stop_at_zero_pivot():
 
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
-        numerics.lu_factor(np.zeros((2, 3)))
+        numerics.band_storage(np.zeros((2, 3)), 1)
     with pytest.raises(DimensionMismatch):
-        numerics.lu_factor(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-    f = numerics.lu_factor(np.eye(3))
+        numerics.band_storage(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1)
+    with pytest.raises(DimensionMismatch, match="not symmetric"):
+        numerics.symmetric_pivots(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    f = factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
-        numerics.lu_solve(f, np.zeros(4))
+        numerics.band_ldlt_solve(f, np.zeros((1, 4)))
     with pytest.raises(DimensionMismatch):
-        numerics.band_lu(np.zeros((1, 3, 2)))
+        numerics.band_ldlt(np.zeros((1, 3, 0)))
     with pytest.raises(DimensionMismatch):
-        numerics.band_lu(np.array([[[1.0], [np.inf]], [[1.0], [1.0]]]))
+        numerics.band_ldlt(np.array([[[1.0], [np.inf]], [[1.0], [1.0]]]))
     with pytest.raises(DimensionMismatch):
-        numerics.band_lu_solve(f, np.zeros((2, 3)))
+        numerics.band_ldlt_solve(f, np.zeros((2, 3)))
 
 
 def test_symmetric_pivots_detect_definiteness():
