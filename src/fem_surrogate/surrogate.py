@@ -15,7 +15,6 @@ tails fit.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import beam as beam_mod
 from . import dataset, mlp
@@ -144,16 +143,38 @@ class ExperimentReport:
                     title=f"{self.experiment}: surrogate vs solver")
 
 
+def local_max_indices(y: np.ndarray) -> np.ndarray:
+    """Interior local maxima, with scipy.signal.find_peaks' plateau rule: a
+    run of equal values counts once, at (left_edge + right_edge) // 2, and
+    only if the values on both sides of the run are lower."""
+    y = np.asarray(y, dtype=float)
+    first = np.ones(len(y), dtype=bool)
+    first[1:] = y[1:] != y[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(y)) - 1
+    top = y[starts]
+    peak = np.flatnonzero((top[1:-1] > top[:-2]) & (top[1:-1] > top[2:])) + 1
+    return (starts[peak] + ends[peak]) // 2
+
+
 def prominent_peak_indices(y: np.ndarray,
                            factor: float = PEAK_PROMINENCE_FACTOR) -> np.ndarray:
-    """Interior local maxima whose prominence exceeds factor x median(y)."""
-    idx, _ = find_peaks(y, prominence=factor * float(np.median(y)))
-    return idx
-
-
-def local_max_indices(y: np.ndarray) -> np.ndarray:
-    idx, _ = find_peaks(y)
-    return idx
+    """Local maxima whose topographic prominence is at least factor x
+    median(y). A peak's prominence is its height over the higher of the two
+    minima reached by walking each way until the curve rises above it
+    (scipy.signal.peak_prominences with no window)."""
+    y = np.asarray(y, dtype=float)
+    peaks = local_max_indices(y)
+    threshold = factor * float(np.median(y))
+    keep = np.zeros(len(peaks), dtype=bool)
+    for k, p in enumerate(peaks):
+        above = y > y[p]
+        left = np.flatnonzero(above[:p])
+        right = np.flatnonzero(above[p:])
+        left_min = y[left[-1] + 1 if len(left) else 0: p + 1].min()
+        right_min = y[p: p + right[0] if len(right) else len(y)].min()
+        keep[k] = threshold <= y[p] - max(left_min, right_min)
+    return peaks[keep]
 
 
 def peaks_matched(true_idx, pred_idx, tol_steps: int = 1) -> bool:

@@ -337,6 +337,15 @@ def test_config_file_unknown_key_exits_2(tmp_path, osc_csv):
     assert "not_a_flag" in res.stderr
 
 
+def test_cli_import_loads_no_scipy():
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, fem_surrogate.cli; print(sorted("
+         "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_missing_subcommand_exits_2():
     res = run_cli()
     assert res.returncode == 2

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.signal import find_peaks
 
 from fem_surrogate.errors import ModelNotTrained
 from fem_surrogate import beam, dataset, mlp, surrogate
@@ -140,6 +141,39 @@ def test_prominent_peaks_filter_noise():
     idx = surrogate.prominent_peak_indices(y)
     assert list(idx) == [60]
     assert len(surrogate.local_max_indices(y)) > 1
+
+
+def _example2_true_channels():
+    spec = beam.default_spec()
+    table = beam.frequency_sweep(spec, beam.default_grid(),
+                                 beam.default_damping(spec)).outputs()
+    return [table[:, c] for c in range(3)]
+
+
+PEAK_ORACLE_CURVES = {
+    "random": lambda: [np.random.default_rng(n).random(n) for n in range(0, 60, 3)],
+    "integer": lambda: [np.random.default_rng(n).integers(0, 4, n).astype(float)
+                        for n in range(3, 60)],
+    "oscillating": lambda: [np.abs(np.sin(np.linspace(0.0, 25.0, n)))
+                            + 0.01 * np.random.default_rng(n).random(n) for n in (40, 59)],
+    "short_flat_and_edges": lambda: [np.array(y, dtype=float) for y in (
+        [1.0], [1.0, 2.0], [2.0, 1.0], [1.0, 2.0, 1.0], [2.0, 1.0, 2.0],
+        [3.0, 3.0, 3.0, 3.0, 3.0],
+        [5.0, 5.0, 1.0, 4.0, 2.0, 3.0, 3.0],
+        [1.0, 4.0, 4.0, 4.0, 2.0, 6.0, 6.0, 1.0])],
+    "example2_true": _example2_true_channels,
+}
+
+
+@pytest.mark.parametrize("kind", PEAK_ORACLE_CURVES)
+def test_peak_finder_matches_scipy_find_peaks(kind):
+    for y in PEAK_ORACLE_CURVES[kind]():
+        npt.assert_array_equal(surrogate.local_max_indices(y), find_peaks(y)[0])
+        if len(y):
+            npt.assert_array_equal(
+                surrogate.prominent_peak_indices(y),
+                find_peaks(y, prominence=surrogate.PEAK_PROMINENCE_FACTOR
+                           * float(np.median(y)))[0])
 
 
 def test_curves_csv_layout(tmp_path, report1):
