@@ -1,7 +1,7 @@
 """Walkthrough: cantilever beam model validation against textbook formulas.
 
 Builds the default 3D beam, extracts natural frequencies below 200 Hz by
-bisection on the count of negative LDL^T pivots of K - w^2 M, and compares
+multisection on the count of negative LDL^T pivots of K - w^2 M, and compares
 them with the Euler-Bernoulli closed forms; then checks the static tip
 deflection on an axis-aligned variant of the same beam.
 """
@@ -38,7 +38,7 @@ straight = beam.BeamSpec(spec.length, sec, mat, spec.n_elements,
                          axis_direction=np.array([1.0, 0.0, 0.0]),
                          tip_load=np.array([0.0, 5.0, 0.0]))
 model, red = beam.reduced_system(straight)
-u = beam.static_solve(red.k, red.f)
+u = beam.static_solve(red.kb, red.f)
 tip = beam.max_displacements(u.astype(complex), model)[1]
 expected = 5.0 * spec.length ** 3 / (3.0 * mat.youngs_modulus * sec.i_z)
 print(f"\nstatic 5 N transverse tip load on the x-aligned beam:")

@@ -4,8 +4,9 @@ clamped at node 0, harmonic tip load at the free end.
 Per node there are 6 DOFs (ux, uy, uz, rx, ry, rz) in the global frame.
 Element matrices are formed in the local frame (x along the beam axis,
 y along the section width, z along the section height), rotated to global
-coordinates, and scatter-added.  Constraints are applied by row/column
-elimination.  The steady-state response solves
+coordinates, and scatter-added straight into upper band storage, the
+layout the band LDL^T solvers read; the clamp drops node 0's band rows.
+The steady-state response solves
 
     (K - w^2 M + i w C) u = F,  w = 2*pi*f,
 
@@ -15,20 +16,13 @@ sequence check); only a handful of validation modes are needed, so no full
 eigensolver.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySystem,
-    InvalidDamping,
-    InvalidSpec,
-    Singular,
-)
-from .numerics import band_ldlt, band_ldlt_refined, band_storage, bandwidth
+from .errors import DimensionMismatch, InvalidDamping, InvalidSpec, Singular
+from .numerics import band_ldlt, band_ldlt_refined, band_to_dense
 from .oscillator import FrequencyGrid
 
 
@@ -91,23 +85,29 @@ class CrossSection:
         return a * b ** 3 * (1.0 / 3.0 - 0.21 * (b / a) * (1.0 - b ** 4 / (12.0 * a ** 4)))
 
 
-# Memory budget for the arrays that grow with the mesh.  The model is still
-# assembled dense: while the reduced system is built, the full K and M
-# (n_dof^2 each) and five reduced n_free^2 arrays (K, M, C and the two
-# temporaries of C = alpha M + beta K, or later the two of the symmetry
-# check) are alive at once.
+# Matrices factored per band_ldlt call, frequencies in the sweep and shifts
+# in the mode finder: a larger batch spreads the per-step Python overhead of
+# the band LDL^T, a smaller one bounds the working arrays (a default
+# generate peaks 1.1 MiB over its start at 16, 2.4 at 32, 5 at 64).
+_BATCH = 32
+# Memory budget for the arrays that grow with the mesh.  The model holds 12
+# doubles per DOF and matrix; the peak is one sweep batch, where the complex
+# dynamic matrices live on with the elimination's working copy and
+# multipliers, then with the multipliers and the solve's transposed copy of
+# them.  Four complex arrays of _BATCH x 12 entries per DOF bound that with
+# room for the small ones (a 400-point sweep traces 20.3 kB per DOF against
+# the 24.6 here, the mode finder's real batches 5.2 kB).
 MEMORY_BUDGET = 1 << 30  # bytes
+_BYTES_PER_DOF = 4 * 16 * _BATCH * 12
 
 
-def dense_model_bytes(n_elements: int) -> int:
-    """Peak bytes of the dense matrices of an n_elements mesh."""
-    n_dof = 6 * (n_elements + 1)
-    n_free = n_dof - 6
-    return 8 * (2 * n_dof ** 2 + 5 * n_free ** 2)
+def band_model_bytes(n_elements: int) -> int:
+    """Peak bytes of the band working set of an n_elements mesh."""
+    return 6 * (n_elements + 1) * _BYTES_PER_DOF
 
 
-# The largest mesh whose dense matrices fit MEMORY_BUDGET (729 elements).
-MAX_ELEMENTS = bisect.bisect_right(range(10 ** 6), MEMORY_BUDGET, key=dense_model_bytes) - 1
+# The largest mesh whose band working set fits MEMORY_BUDGET.
+MAX_ELEMENTS = MEMORY_BUDGET // (6 * _BYTES_PER_DOF) - 1
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ class BeamSpec:
             raise InvalidSpec(f"n_elements must be >= 2, got {self.n_elements}")
         if self.n_elements > MAX_ELEMENTS:
             raise InvalidSpec(
-                f"n_elements must be <= {MAX_ELEMENTS}, got {self.n_elements}: its dense "
-                f"matrices need {dense_model_bytes(self.n_elements) / 2 ** 30:.3g} GiB, "
+                f"n_elements must be <= {MAX_ELEMENTS}, got {self.n_elements}: its band "
+                f"working set needs {band_model_bytes(self.n_elements) / 2 ** 30:.3g} GiB, "
                 f"over the {MEMORY_BUDGET / 2 ** 30:g} GiB budget")
         axis = np.asarray(self.axis_direction, dtype=float)
         if axis.shape != (3,) or not np.all(np.isfinite(axis)):
@@ -159,13 +159,10 @@ class BeamSpec:
 # tilted axis so all three global output channels carry resonance peaks.
 STEEL = Material(youngs_modulus=193e9, poisson_ratio=0.29, density=8000.0)
 DEFAULT_GRID = (1.0, 200.0, 400)
-# Sweep frequencies factored per batch: a larger batch spreads the per-step
-# Python overhead of the band LDL^T, a smaller one bounds the working arrays
-# (a default generate peaks 1.1 MiB over its start at 16, 2.4 at 32, 5 at 64).
-_SWEEP_CHUNK = 32
 # Shifts per open bracket and round of the mode finder's multisection: each
-# round cuts every bracket (_SHIFTS + 1)-fold with one batched elimination.
-# On the default beam 4 was the fastest of 2, 4, 8 and 16 (11 rounds).
+# round cuts every bracket (_SHIFTS + 1)-fold with one batched elimination
+# per _BATCH shifts.  On the default beam 4 was the fastest of 2, 4, 8 and
+# 16 (11 rounds).
 _SHIFTS = 4
 
 
@@ -307,11 +304,10 @@ def element_matrices(spec: BeamSpec, element_index: int) -> tuple[np.ndarray, np
 
 
 def assemble(model: BeamModel, spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Global K, M over all DOFs (constraints not yet applied)."""
-    n_dof = model.n_dof
-    big_k = np.zeros((n_dof, n_dof))
-    big_m = np.zeros((n_dof, n_dof))
-
+    """Global K, M over all DOFs (constraints not yet applied) in upper band
+    storage (n_dof, 12), row i holding A[i, i..i+11].  Element e joins nodes
+    e and e+1, DOFs 6e..6e+11, so its block is one slice-add into band rows
+    6e..6e+11, in element order."""
     rot = np.zeros((12, 12))
     for b in range(4):
         rot[3 * b: 3 * b + 3, 3 * b: 3 * b + 3] = model.frame
@@ -319,29 +315,49 @@ def assemble(model: BeamModel, spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     k_loc, m_loc = element_matrices(spec, 0)  # uniform mesh: all elements equal
     k_glob = rot.T @ k_loc @ rot
     m_glob = rot.T @ m_loc @ rot
-    # the rotation leaves a rounding-level asymmetry; the band solvers read
-    # one triangle, so scatter exactly symmetric blocks
+    # the rotation leaves a rounding-level asymmetry; the band storage holds
+    # one triangle, so make the blocks exactly symmetric
     k_glob = 0.5 * (k_glob + k_glob.T)
     m_glob = 0.5 * (m_glob + m_glob.T)
 
-    for i, j in model.elements:
-        dofs = np.r_[6 * i: 6 * i + 6, 6 * j: 6 * j + 6]
-        big_k[np.ix_(dofs, dofs)] += k_glob
-        big_m[np.ix_(dofs, dofs)] += m_glob
-    return big_k, big_m
+    # the blocks in band layout: blk[r, t] = glob[r, r + t], zero past the block
+    r, t = np.indices((12, 12))
+    inside = r + t < 12
+    k_blk = np.where(inside, k_glob[r, np.minimum(r + t, 11)], 0.0)
+    m_blk = np.where(inside, m_glob[r, np.minimum(r + t, 11)], 0.0)
+
+    kb = np.zeros((model.n_dof, 12))
+    mb = np.zeros((model.n_dof, 12))
+    for i in model.elements[:, 0]:
+        kb[6 * i: 6 * i + 12] += k_blk
+        mb[6 * i: 6 * i + 12] += m_blk
+    return kb, mb
 
 
 @dataclass
 class ReducedSystem:
-    """Free-DOF system after row/column elimination, with the map back to
-    full DOF indices."""
+    """Free-DOF system after clamping node 0, K, M and C in upper band
+    storage (n_free, b+1), with the map back to full DOF indices."""
 
-    k: np.ndarray
-    m: np.ndarray
-    c: np.ndarray | None
+    kb: np.ndarray
+    mb: np.ndarray
+    cb: np.ndarray | None
     f: np.ndarray
     free_dofs: np.ndarray
     n_full: int
+
+    # dense copies, for oracles that need the full matrices
+    @property
+    def k(self) -> np.ndarray:
+        return band_to_dense(self.kb)
+
+    @property
+    def m(self) -> np.ndarray:
+        return band_to_dense(self.mb)
+
+    @property
+    def c(self) -> np.ndarray | None:
+        return None if self.cb is None else band_to_dense(self.cb)
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         full = np.zeros(self.n_full, dtype=u.dtype)
@@ -349,58 +365,36 @@ class ReducedSystem:
         return full
 
 
-def apply_constraints(k, m, c, f, fixed_dofs) -> ReducedSystem:
-    """Delete the rows/columns of the fixed DOFs (reduction, not penalty)."""
-    k = np.asarray(k)
-    n = k.shape[0]
-    fixed = np.asarray(fixed_dofs, dtype=int)
-    if fixed.size and (fixed.min() < 0 or fixed.max() >= n):
-        raise DimensionMismatch(f"fixed DOF indices out of range for {n} DOFs")
-    free = np.setdiff1d(np.arange(n), fixed)
-    if free.size == 0:
-        raise EmptySystem("all DOFs are fixed")
-    sel = np.ix_(free, free)
-    return ReducedSystem(
-        k=k[sel],
-        m=np.asarray(m)[sel],
-        c=None if c is None else np.asarray(c)[sel],
-        f=np.asarray(f)[free],
-        free_dofs=free,
-        n_full=n,
-    )
-
-
 def rayleigh_damping(k, m, alpha: float, beta: float) -> np.ndarray:
-    """C = alpha*M + beta*K."""
+    """C = alpha*M + beta*K, entry by entry, so band storage in gives band
+    storage out."""
     if alpha < 0.0 or beta < 0.0 or (alpha == 0.0 and beta == 0.0):
         raise InvalidDamping(
             f"need alpha, beta >= 0 and not both zero, got ({alpha}, {beta})")
     return alpha * np.asarray(m) + beta * np.asarray(k)
 
 
-def static_solve(k, f) -> np.ndarray:
-    """u = K^-1 F on the reduced system: the harmonic solve at w = 0, in
-    real arithmetic."""
-    u, failures = _solve_frequencies(_bands(k), f, np.zeros(1))
+def _band_system(kb, mb=None, cb=None) -> tuple[np.ndarray, ...]:
+    """K and, where given, M and C (else None) as float upper band storage;
+    raises DimensionMismatch unless they share one (n, b+1) shape."""
+    mats = [None if x is None else np.asarray(x, dtype=float) for x in (kb, mb, cb)]
+    shapes = [x.shape for x in mats if x is not None]
+    if len(shapes[0]) != 2 or any(s != shapes[0] for s in shapes):
+        raise DimensionMismatch(
+            f"K, M and C must be upper band storage (n, b+1) of one shape, got {shapes}")
+    return tuple(mats)
+
+
+def static_solve(kb, f) -> np.ndarray:
+    """u = K^-1 F on the reduced system, K in upper band storage: the
+    harmonic solve at w = 0, in real arithmetic."""
+    u, failures = _solve_frequencies(_band_system(kb), f, np.zeros(1))
     if failures:
         raise Singular(f"stiffness matrix singular at {failures[0]}")
     return u[0]
 
 
-def _bands(k, m=None, c=None) -> tuple[np.ndarray, ...]:
-    """Upper band storage of K and, where given, M and C (else None) at
-    their common half-bandwidth; raises DimensionMismatch unless they are
-    square, of one shape and symmetric."""
-    mats = [None if x is None else np.asarray(x, dtype=float) for x in (k, m, c)]
-    given = [x for x in mats if x is not None]
-    if any(x.shape != given[0].shape for x in given):
-        raise DimensionMismatch(
-            f"K, M and C must share one shape, got {[x.shape for x in given]}")
-    b = max(bandwidth(x) for x in given)
-    return tuple(None if x is None else band_storage(x, b) for x in mats)
-
-
-def _dynamic_bands(bands, freqs: np.ndarray) -> np.ndarray:
+def _dynamic_matrix(bands, freqs: np.ndarray) -> np.ndarray:
     """Upper band storage of D = K - w^2 M + i w C at each frequency, shape
     (len(freqs), n, b+1); real when the damping term vanishes.  A missing M
     or C counts as zero."""
@@ -418,7 +412,7 @@ def _dynamic_bands(bands, freqs: np.ndarray) -> np.ndarray:
 def _solve_frequencies(bands, f, freqs: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Displacement amplitudes (len(freqs), n) from one batched band solve,
     and a message for each frequency whose dynamic matrix is singular."""
-    dyn = _dynamic_bands(bands, freqs)
+    dyn = _dynamic_matrix(bands, freqs)
     rhs = np.asarray(f, dtype=dyn.dtype)
     if rhs.shape != dyn.shape[1:2]:
         raise DimensionMismatch(f"load shape {rhs.shape} does not match {dyn.shape[1]} DOFs")
@@ -427,16 +421,17 @@ def _solve_frequencies(bands, f, freqs: np.ndarray) -> tuple[np.ndarray, list[st
     return u, failures
 
 
-def harmonic_solve(k, m, c, f, freq_hz: float) -> np.ndarray:
-    """Complex displacement amplitudes solving (K - w^2 M + i w C) u = F.
+def harmonic_solve(kb, mb, cb, f, freq_hz: float) -> np.ndarray:
+    """Complex displacement amplitudes solving (K - w^2 M + i w C) u = F,
+    with K, M and C (or None) in upper band storage of one shape.
 
     This is the sweep's batched band solve run on a one-frequency batch, so
     it reproduces a sweep row bit for bit.  When the damping term vanishes
     the dynamic matrix is real and the solve stays in real arithmetic, so
-    the w = 0 result is bit-identical to static_solve.  K, M and C must be
-    symmetric: only their upper triangles are read.
+    the w = 0 result is bit-identical to static_solve.
     """
-    u, failures = _solve_frequencies(_bands(k, m, c), f, np.array([freq_hz], dtype=float))
+    bands = _band_system(kb, mb, cb)
+    u, failures = _solve_frequencies(bands, f, np.array([freq_hz], dtype=float))
     if failures:
         raise Singular(f"dynamic matrix singular at {failures[0]}")
     return u[0].astype(complex, copy=False)
@@ -461,66 +456,55 @@ def max_displacements(u, model: BeamModel) -> np.ndarray:
 
 # --- frequency sweep ---------------------------------------------------------
 
-@dataclass
-class ResponseTable:
-    """Per-frequency maxima of the displacement magnitudes, one row per
-    grid point."""
-
-    freq_hz: np.ndarray
-    ux_max: np.ndarray
-    uy_max: np.ndarray
-    uz_max: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.freq_hz, dtype=float)
-        if f.size > 1 and not np.all(np.diff(f) > 0.0):
-            raise InvalidSpec("response table frequencies must be strictly increasing")
-        for name in ("ux_max", "uy_max", "uz_max"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != f.shape:
-                raise DimensionMismatch(f"{name} length does not match freq_hz")
-            if np.any(v < 0.0):
-                raise InvalidSpec(f"{name} must be >= 0")
-
-    def outputs(self) -> np.ndarray:
-        """(n, 3) matrix of the per-axis maxima."""
-        return np.column_stack([self.ux_max, self.uy_max, self.uz_max])
-
-
 def reduced_system(spec: BeamSpec, damping: tuple[float, float] | None = None,
                    ) -> tuple[BeamModel, ReducedSystem]:
-    """Mesh + assemble + constrain in one step; attaches Rayleigh damping
-    when (alpha, beta) is given."""
+    """Mesh + assemble + clamp in one step; attaches Rayleigh damping when
+    (alpha, beta) is given.  Node 0 is the clamped node, and band rows from
+    6 on never reach a column below 6, so the clamp drops the first 6 rows."""
     model = build_mesh(spec)
-    big_k, big_m = assemble(model, spec)
-    red = apply_constraints(big_k, big_m, None, model.load, model.fixed_dofs)
+    kb, mb = assemble(model, spec)
+    red = ReducedSystem(kb=kb[6:], mb=mb[6:], cb=None, f=model.load[6:],
+                        free_dofs=model.free_dofs, n_full=model.n_dof)
     if damping is not None:
-        red.c = rayleigh_damping(red.k, red.m, *damping)
+        red.cb = rayleigh_damping(red.kb, red.mb, *damping)
     return model, red
 
 
 def frequency_sweep(spec: BeamSpec, grid: FrequencyGrid,
-                    damping: tuple[float, float]) -> ResponseTable:
-    """One assembly, then one batched band solve per chunk of grid
-    frequencies (each with one refinement step), so memory stays flat in
-    the grid size.
+                    damping: tuple[float, float]) -> np.ndarray:
+    """Per-axis maxima of the displacement magnitudes, (len(grid), 3), one
+    row per grid frequency.
 
+    One assembly, then one batched band solve per _BATCH grid frequencies
+    (each with one refinement step), so memory stays flat in the grid size.
     A singular frequency does not stop the sweep; every failure is collected
     and one Singular names up to five of them.
     """
     model, red = reduced_system(spec, damping)
-    bands = _bands(red.k, red.m, red.c)
+    bands = (red.kb, red.mb, red.cb)
     freqs = grid.values
     rows, failures = [], []
-    for start in range(0, freqs.size, _SWEEP_CHUNK):
-        u, failed = _solve_frequencies(bands, red.f, freqs[start:start + _SWEEP_CHUNK])
+    for start in range(0, freqs.size, _BATCH):
+        u, failed = _solve_frequencies(bands, red.f, freqs[start:start + _BATCH])
         rows.append(max_displacements(u, model))
         failures += failed
     if failures:
         raise Singular(f"{len(failures)} sweep frequencies failed ({'; '.join(failures[:5])})")
+    return np.concatenate(rows)
 
-    rows = np.concatenate(rows)
-    return ResponseTable(freqs.copy(), rows[:, 0], rows[:, 1], rows[:, 2])
+
+def _negative_pivots(bands, shifts: np.ndarray) -> np.ndarray:
+    """Count of negative LDL^T pivots of K - w^2 M at each shift (Hz), from
+    one batched elimination per _BATCH shifts; a zero pivot raises Singular."""
+    counts = []
+    for start in range(0, shifts.size, _BATCH):
+        batch = shifts[start:start + _BATCH]
+        pivots = band_ldlt(_dynamic_matrix(bands, batch)).d
+        zero = (pivots == 0.0).any(axis=1)
+        if zero.any():
+            raise Singular(f"K - w^2 M has a zero pivot at f = {batch[zero.argmax()]} Hz")
+        counts.append(np.count_nonzero(pivots < 0.0, axis=1))
+    return np.concatenate(counts)
 
 
 def natural_frequencies(spec: BeamSpec, f_max: float) -> list[float]:
@@ -532,14 +516,14 @@ def natural_frequencies(spec: BeamSpec, f_max: float) -> list[float]:
     the Sturm sequence check of Bathe, Finite Element Procedures, 11.4.3).
     Root i is the smallest f whose count reaches i, found by multisection
     (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987): every round
-    counts at _SHIFTS evenly spaced shifts inside every open bracket, all in
-    one batched elimination, until each bracket is within a relative 1e-6.
-    A zero pivot at a probed f raises Singular.
+    counts at _SHIFTS evenly spaced shifts inside every open bracket, at
+    most _BATCH shifts per elimination, until each bracket is within a
+    relative 1e-6.  A zero pivot at a probed f raises Singular.
     """
     if not f_max > 0.0:
         raise InvalidSpec(f"f_max must be > 0, got {f_max}")
     _, red = reduced_system(spec)
-    bands = _bands(red.k, red.m)
+    bands = (red.kb, red.mb, None)
     counts = {0.0: 0}  # K is positive definite
 
     def bracket(i):
@@ -550,11 +534,7 @@ def natural_frequencies(spec: BeamSpec, f_max: float) -> list[float]:
     steps = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
     shifts = np.linspace(0.0, f_max, _SHIFTS + 2)[1:]  # f_max itself, first round only
     while shifts.size:
-        pivots = band_ldlt(_dynamic_bands(bands, shifts)).d
-        zero = (pivots == 0.0).any(axis=1)
-        if zero.any():
-            raise Singular(f"K - w^2 M has a zero pivot at f = {shifts[zero.argmax()]} Hz")
-        counts.update(zip(shifts.tolist(), np.count_nonzero(pivots < 0.0, axis=1).tolist()))
+        counts.update(zip(shifts.tolist(), _negative_pivots(bands, shifts).tolist()))
         open_ = {(lo, hi) for lo, hi in map(bracket, range(1, counts[f_max] + 1))
                  if hi - lo > 1e-6 * hi}
         shifts = np.array([lo + (hi - lo) * t for lo, hi in sorted(open_) for t in steps])

@@ -257,7 +257,7 @@ def cmd_generate(args) -> int:
     else:
         spec = _beam_spec(args)
         grid = _grid_or(args, beam_mod.DEFAULT_GRID)
-        outputs = beam_mod.frequency_sweep(spec, grid, _damping_or_default(args, spec)).outputs()
+        outputs = beam_mod.frequency_sweep(spec, grid, _damping_or_default(args, spec))
     dataset.write_csv(args.out, grid.values, outputs)
     print(f"rows={len(grid)} f_min_hz={grid.values[0]:.17g} f_max_hz={grid.values[-1]:.17g} "
           f"out={args.out}")

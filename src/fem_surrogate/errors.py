@@ -83,10 +83,6 @@ class NonConvergent(SolverError):
     pass
 
 
-class EmptySystem(SolverError):
-    pass
-
-
 # --- training --------------------------------------------------------------
 
 class NanLoss(TrainingError):

@@ -330,14 +330,19 @@ def load_model(path) -> tuple[Mlp, Scaler | None, Scaler | None, dict]:
             f"model format version {version!r}, expected {MODEL_FORMAT_VERSION}")
     try:
         sizes = [int(s) for s in doc["layer_sizes"]]
+        if doc["activation"] != "tanh":
+            raise ValueError(f"activation must be 'tanh', got {doc['activation']!r}")
+        if not len(doc["weights"]) == len(doc["biases"]) == len(sizes) - 1:
+            raise ValueError(
+                f"{len(sizes) - 1} layers need as many weight and bias arrays, got "
+                f"{len(doc['weights'])} and {len(doc['biases'])}")
         weights, biases = [], []
         for fan_in, fan_out, wflat, b in zip(sizes[:-1], sizes[1:],
                                              doc["weights"], doc["biases"]):
-            w = np.array(wflat, dtype=float).reshape(fan_out, fan_in)
-            weights.append(w)
+            weights.append(np.array(wflat, dtype=float).reshape(fan_out, fan_in))
             biases.append(np.array(b, dtype=float))
-        if len(weights) != len(sizes) - 1:
-            raise ValueError("parameter count does not match layer sizes")
+            if biases[-1].shape != (fan_out,):
+                raise ValueError(f"bias of {biases[-1].size} entries for a layer of {fan_out}")
         net = Mlp(sizes, weights, biases, doc["activation"])
         in_sc = doc.get("input_scaler")
         out_sc = doc.get("target_scaler")

@@ -323,7 +323,7 @@ def run_example2(spec: beam_mod.BeamSpec | None = None,
     if damping is None:
         damping = beam_mod.default_damping(spec)
 
-    outputs = beam_mod.frequency_sweep(spec, grid, damping).outputs()
+    outputs = beam_mod.frequency_sweep(spec, grid, damping)
     echo = {
         "experiment": "example2",
         "length": spec.length,

@@ -4,14 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fem_surrogate.errors import (
-    DimensionMismatch,
-    EmptySystem,
-    InvalidDamping,
-    InvalidSpec,
-    Singular,
-)
+from fem_surrogate.errors import DimensionMismatch, InvalidDamping, InvalidSpec, Singular
 from fem_surrogate import beam, dataset
+from fem_surrogate.numerics import band_ldlt, band_to_dense
 from fem_surrogate import oscillator as osc
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -165,7 +160,9 @@ def test_assembly_along_x_uses_identity_rotation():
     model = beam.build_mesh(spec)
     npt.assert_array_equal(model.frame, np.eye(3))
     k_loc, m_loc = beam.element_matrices(spec, 0)
-    big_k, big_m = beam.assemble(model, spec)
+    kb, mb = beam.assemble(model, spec)
+    assert kb.shape == mb.shape == (model.n_dof, 12)
+    big_k, big_m = band_to_dense(kb), band_to_dense(mb)
     # element 0's own corner blocks appear untransformed ...
     npt.assert_allclose(big_k[:6, :6], k_loc[:6, :6], rtol=1e-15)
     npt.assert_allclose(big_k[:6, 6:12], k_loc[:6, 6:], rtol=1e-15)
@@ -175,13 +172,23 @@ def test_assembly_along_x_uses_identity_rotation():
     npt.assert_allclose(big_m[mid, mid], m_loc[6:, 6:] + m_loc[:6, :6], rtol=1e-15)
 
 
+def rotated_element_matrices(spec):
+    """Element K and M, local and rotated to the global frame by
+    section_frame."""
+    rot = np.kron(np.eye(4), beam.section_frame(spec.axis_direction, spec.section_ref))
+    k_loc, m_loc = beam.element_matrices(spec, 0)
+    return k_loc, m_loc, rot.T @ k_loc @ rot, rot.T @ m_loc @ rot
+
+
 def test_assembly_symmetry_and_rigid_modes():
+    # band storage holds one triangle, so symmetry is checked on the
+    # element matrices, local and rotated, that the assembly scatters
     spec = beam.default_spec()
     model = beam.build_mesh(spec)
-    big_k, big_m = beam.assemble(model, spec)
+    for a in rotated_element_matrices(spec):
+        assert np.abs(a - a.T).max() <= 1e-10 * np.abs(a).max()
+    big_k = band_to_dense(beam.assemble(model, spec)[0])
     scale = np.abs(big_k).max()
-    assert np.abs(big_k - big_k.T).max() <= 1e-10 * scale
-    assert np.abs(big_m - big_m.T).max() <= 1e-10 * np.abs(big_m).max()
 
     center = model.nodes.mean(axis=0)
     for d in range(3):
@@ -201,44 +208,30 @@ def test_assembly_symmetry_and_rigid_modes():
 # --- constraints and damping ---------------------------------------------------
 
 def test_apply_constraints_reduces_and_maps_back():
+    # the clamp at node 0 drops its 6 rows and columns: in band storage,
+    # the first 6 band rows
     spec = straight_spec()
     model = beam.build_mesh(spec)
-    big_k, big_m = beam.assemble(model, spec)
-    red = beam.apply_constraints(big_k, big_m, None, model.load, model.fixed_dofs)
-    assert red.k.shape == (120, 120)
-    assert red.m.shape == (120, 120)
+    kb, mb = beam.assemble(model, spec)
+    _, red = beam.reduced_system(spec)
+    assert red.kb.shape == red.mb.shape == (120, 12)
+    npt.assert_array_equal(red.k, band_to_dense(kb)[6:, 6:])
+    npt.assert_array_equal(red.m, band_to_dense(mb)[6:, 6:])
+    npt.assert_array_equal(red.f, model.load[6:])
     full = red.expand(np.ones(120))
     assert np.all(full[:6] == 0.0) and np.all(full[6:] == 1.0)
-
-    unconstrained = beam.apply_constraints(big_k, big_m, None, model.load, [])
-    npt.assert_array_equal(unconstrained.k, big_k)
 
 
 def test_reduced_mass_positive_definite():
     spec = beam.default_spec()
-    model = beam.build_mesh(spec)
-    big_k, big_m = beam.assemble(model, spec)
-    red = beam.apply_constraints(big_k, big_m, None, model.load, model.fixed_dofs)
-    from fem_surrogate.numerics import symmetric_pivots
-    assert np.all(symmetric_pivots(red.m) > 0.0)
-    assert np.all(symmetric_pivots(red.k) > 0.0)
-    # symmetry survives the reduction
-    assert np.abs(red.k - red.k.T).max() <= 1e-10 * np.abs(red.k).max()
-    assert np.abs(red.m - red.m.T).max() <= 1e-10 * np.abs(red.m).max()
-
-
-def test_all_dofs_fixed_raises():
-    spec = straight_spec(n_elements=2)
-    model = beam.build_mesh(spec)
-    big_k, big_m = beam.assemble(model, spec)
-    with pytest.raises(EmptySystem):
-        beam.apply_constraints(big_k, big_m, None, model.load,
-                               np.arange(model.n_dof))
+    _, red = beam.reduced_system(spec)
+    assert np.all(band_ldlt(red.mb[None]).d > 0.0)
+    assert np.all(band_ldlt(red.kb[None]).d > 0.0)
 
 
 def test_rayleigh_damping_forms():
-    k = np.diag([2.0, 3.0])
-    m = np.eye(2)
+    k = np.array([[2.0, 0.5], [3.0, 0.0]])   # band storage of [[2, 0.5], [0.5, 3]]
+    m = np.array([[1.0, 0.0], [1.0, 0.0]])
     npt.assert_allclose(beam.rayleigh_damping(k, m, 0.0, 0.001), 0.001 * k, atol=0)
     npt.assert_allclose(beam.rayleigh_damping(k, m, 1.0, 0.0), m, atol=0)
     with pytest.raises(InvalidDamping):
@@ -259,7 +252,7 @@ def test_default_damping_hits_target_modal_ratio():
 def test_static_tip_deflection_matches_cantilever_formula():
     spec = straight_spec(tip_load=(0.0, 5.0, 0.0))
     model, red = beam.reduced_system(spec)
-    u = beam.static_solve(red.k, red.f)
+    u = beam.static_solve(red.kb, red.f)
     ux, uy, uz = beam.max_displacements(u.astype(complex), model)
     expected = 5.0 * spec.length ** 3 / (3.0 * spec.material.youngs_modulus
                                          * spec.section.i_z)
@@ -273,17 +266,17 @@ def test_static_tip_deflection_matches_cantilever_formula():
 def test_static_solve_linearity_and_zero_load():
     spec = straight_spec()
     _, red = beam.reduced_system(spec)
-    npt.assert_array_equal(beam.static_solve(red.k, np.zeros(120)), np.zeros(120))
-    u1 = beam.static_solve(red.k, red.f)
-    u2 = beam.static_solve(red.k, 2.0 * red.f)
+    npt.assert_array_equal(beam.static_solve(red.kb, np.zeros(120)), np.zeros(120))
+    u1 = beam.static_solve(red.kb, red.f)
+    u2 = beam.static_solve(red.kb, 2.0 * red.f)
     npt.assert_allclose(u2, 2.0 * u1, rtol=1e-12)
 
 
 def test_harmonic_zero_frequency_equals_static_bitwise():
     spec = beam.default_spec()
     _, red = beam.reduced_system(spec, damping=(0.0, 2e-4))
-    u_static = beam.static_solve(red.k, red.f)
-    u0 = beam.harmonic_solve(red.k, red.m, red.c, red.f, 0.0)
+    u_static = beam.static_solve(red.kb, red.f)
+    u0 = beam.harmonic_solve(red.kb, red.mb, red.cb, red.f, 0.0)
     npt.assert_array_equal(u0.real, u_static)
     assert np.all(u0.imag == 0.0)
 
@@ -303,7 +296,7 @@ def test_harmonic_residual_is_tiny():
     _, red = beam.reduced_system(spec, damping=beam.default_damping(spec))
     rng = np.random.default_rng(1)
     for f in rng.uniform(1.0, 200.0, size=8):
-        u = beam.harmonic_solve(red.k, red.m, red.c, red.f, f)
+        u = beam.harmonic_solve(red.kb, red.mb, red.cb, red.f, f)
         w = 2.0 * math.pi * f
         dyn = red.k - w * w * red.m + 1j * w * red.c
         resid = np.linalg.norm(dyn @ u - red.f) / np.linalg.norm(red.f)
@@ -319,40 +312,26 @@ def test_harmonic_undamped_resonance_is_singular():
 
 
 def test_harmonic_rejects_mismatched_shapes():
-    k, m, c = np.eye(3), np.eye(3), 0.1 * np.eye(3)
+    # upper band storage (3, 2): three DOFs, one off-diagonal
+    k, m, c = np.array([[4.0, 1.0], [3.0, 1.0], [2.0, 0.0]]), np.ones((3, 2)), np.ones((3, 2))
     with pytest.raises(DimensionMismatch):
         beam.harmonic_solve(k, m, c, np.ones(1), 1.0)
     with pytest.raises(DimensionMismatch):
-        beam.harmonic_solve(k, np.eye(2), c, np.ones(3), 1.0)
-
-
-@pytest.mark.parametrize("which", ["k", "m", "c"])
-def test_harmonic_and_static_reject_nonsymmetric_input(which):
-    # the band solvers read one triangle: an asymmetric matrix must raise,
-    # not be solved as its upper half mirrored
-    mats = {"k": np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]),
-            "m": np.eye(3), "c": 0.1 * np.eye(3)}
-    mats[which] = mats[which] + np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    f = np.ones(3)
-    with pytest.raises(DimensionMismatch, match="not symmetric"):
-        beam.harmonic_solve(mats["k"], mats["m"], mats["c"], f, 2.0)
-    with pytest.raises(DimensionMismatch, match="not symmetric"):
-        beam.static_solve(mats[which], f)
+        beam.harmonic_solve(k, np.ones((2, 2)), c, np.ones(3), 1.0)
+    with pytest.raises(DimensionMismatch):
+        beam.harmonic_solve(k, m, np.ones((3, 1)), np.ones(3), 1.0)
+    with pytest.raises(DimensionMismatch):
+        beam.static_solve(np.ones(3), np.ones(3))
 
 
 def test_dynamic_pivots_have_positive_imaginary_part():
     """Why the sweep needs no pivoting: with Rayleigh damping Im D = wC is
     positive definite, and so is every Schur complement's imaginary part,
     so no pivot can vanish."""
-    from fem_surrogate import numerics
     spec = beam.default_spec()
     _, red = beam.reduced_system(spec, beam.default_damping(spec))
-    b = numerics.bandwidth(red.k)
-    dyn = []
-    for f in beam.default_grid().values:
-        w = 2.0 * math.pi * f
-        dyn.append(numerics.band_storage(red.k - w * w * red.m + 1j * w * red.c, b))
-    pivots = numerics.band_ldlt(np.stack(dyn)).d
+    w = 2.0 * math.pi * beam.default_grid().values[:, None, None]
+    pivots = band_ldlt(red.kb - w * w * red.mb + 1j * w * red.cb).d
     assert np.all(pivots.imag > 0.0)
 
 
@@ -362,7 +341,7 @@ def test_harmonic_peaks_near_first_mode():
     model, red = beam.reduced_system(spec, damping=beam.default_damping(spec))
     grid = np.linspace(f1 - 1.0, f1 + 1.0, 41)
     mags = [beam.max_displacements(
-        beam.harmonic_solve(red.k, red.m, red.c, red.f, f), model)[1]
+        beam.harmonic_solve(red.kb, red.mb, red.cb, red.f, f), model)[1]
         for f in grid]
     step = grid[1] - grid[0]
     assert abs(grid[int(np.argmax(mags))] - f1) <= step
@@ -391,12 +370,12 @@ def test_max_displacements_contract():
 def test_sweep_quasi_static_row():
     spec = straight_spec(tip_load=(0.0, 5.0, 0.0))
     model, red = beam.reduced_system(spec)
-    static = beam.max_displacements(beam.static_solve(red.k, red.f).astype(complex),
+    static = beam.max_displacements(beam.static_solve(red.kb, red.f).astype(complex),
                                     model)
     table = beam.frequency_sweep(spec, osc.FrequencyGrid(np.array([0.01])),
                                  damping=(0.0, 2e-4))
-    npt.assert_allclose(
-        [table.ux_max[0], table.uy_max[0], table.uz_max[0]], static, rtol=1e-4)
+    assert table.shape == (1, 3)
+    npt.assert_allclose(table[0], static, rtol=1e-4)
 
 
 def test_sweep_default_has_multiple_peaks_per_transverse_channel():
@@ -404,30 +383,31 @@ def test_sweep_default_has_multiple_peaks_per_transverse_channel():
     spec = beam.default_spec()
     table = beam.frequency_sweep(spec, beam.default_grid(),
                                  beam.default_damping(spec))
-    peaks_y, _ = find_peaks(table.uy_max)
-    peaks_z, _ = find_peaks(table.uz_max)
+    peaks_y, _ = find_peaks(table[:, 1])
+    peaks_z, _ = find_peaks(table[:, 2])
     assert len(peaks_y) >= 2 and len(peaks_z) >= 2
-    assert len(set(table.freq_hz[peaks_y]) | set(table.freq_hz[peaks_z])) >= 2
+    freqs = beam.default_grid().values
+    assert len(set(freqs[peaks_y]) | set(freqs[peaks_z])) >= 2
 
 
 def test_sweep_damping_sensitivity():
     spec = beam.default_spec()
     grid = osc.FrequencyGrid.uniform(5.0, 60.0, 111)
     alpha, beta = beam.default_damping(spec)
-    full = beam.frequency_sweep(spec, grid, (alpha, beta))
-    half = beam.frequency_sweep(spec, grid, (alpha, 0.5 * beta))
+    full = beam.frequency_sweep(spec, grid, (alpha, beta))[:, 1]
+    half = beam.frequency_sweep(spec, grid, (alpha, 0.5 * beta))[:, 1]
     from scipy.signal import find_peaks
-    peaks, _ = find_peaks(full.uy_max)
+    peaks, _ = find_peaks(full)
     assert len(peaks) >= 1
     for i in peaks:
-        assert half.uy_max[i] > full.uy_max[i]
+        assert half[i] > full[i]
     # away from resonance peaks and anti-resonance dips damping barely matters
-    dips, _ = find_peaks(-full.uy_max)
+    dips, _ = find_peaks(-full)
     features = grid.values[np.concatenate([peaks, dips])]
     off = [i for i in range(len(grid))
            if np.abs(grid.values[i] - features).min() > 5.0]
     assert len(off) >= 20
-    rel = np.abs(half.uy_max[off] - full.uy_max[off]) / full.uy_max[off]
+    rel = np.abs(half[off] - full[off]) / full[off]
     assert rel.max() < 0.01
 
 
@@ -442,8 +422,8 @@ def test_sweep_rows_bit_equal_one_frequency_solves(n_points):
     model, red = beam.reduced_system(spec, damping)
     for i, f in enumerate(grid.values):
         npt.assert_array_equal(
-            table.outputs()[i],
-            beam.max_displacements(beam.harmonic_solve(red.k, red.m, red.c, red.f, f), model))
+            table[i],
+            beam.max_displacements(beam.harmonic_solve(red.kb, red.mb, red.cb, red.f, f), model))
 
 
 def _refined_dense_solve(d, f, steps=3):
@@ -467,7 +447,7 @@ def test_default_sweep_matches_scipy_solve():
     solution's normwise error, so it sets the deviation there."""
     spec = beam.default_spec()
     damping = beam.default_damping(spec)
-    table = beam.frequency_sweep(spec, beam.default_grid(), damping).outputs()
+    table = beam.frequency_sweep(spec, beam.default_grid(), damping)
     model, red = beam.reduced_system(spec, damping)
     for i, f in enumerate(beam.default_grid().values):
         w = 2.0 * math.pi * f
@@ -479,14 +459,14 @@ def test_default_sweep_matches_scipy_solve():
 def test_sweep_collects_every_singular_frequency(monkeypatch, tmp_path):
     grid = osc.FrequencyGrid.uniform(1.0, 40.0, 40)
     broken = grid.values[[0, 3, 15, 16, 20, 33, 39]]
-    build = beam._dynamic_bands
+    build = beam._dynamic_matrix
 
     def with_zero_row(bands, freqs):
         dyn = build(bands, freqs)
         dyn[np.isin(freqs, broken), 0, :] = 0.0
         return dyn
 
-    monkeypatch.setattr(beam, "_dynamic_bands", with_zero_row)
+    monkeypatch.setattr(beam, "_dynamic_matrix", with_zero_row)
     with pytest.raises(Singular) as info:
         beam.frequency_sweep(beam.default_spec(), grid, (0.0, 2e-4))
     message = str(info.value)
@@ -496,7 +476,7 @@ def test_sweep_collects_every_singular_frequency(monkeypatch, tmp_path):
     assert f"f = {broken[5]} Hz" not in message
     with pytest.raises(Singular, match="dynamic matrix singular at f = 16.0 Hz: pivot"):
         _, red = beam.reduced_system(beam.default_spec(), (0.0, 2e-4))
-        beam.harmonic_solve(red.k, red.m, red.c, red.f, 16.0)
+        beam.harmonic_solve(red.kb, red.mb, red.cb, red.f, 16.0)
 
     from fem_surrogate import cli
     out = tmp_path / "sweep.csv"
@@ -511,12 +491,12 @@ def test_sweep_csv_round_trip(tmp_path):
     grid = osc.FrequencyGrid.uniform(5.0, 30.0, 7)
     table = beam.frequency_sweep(spec, grid, (0.0, 2e-4))
     path = tmp_path / "table.csv"
-    dataset.write_csv(path, table.freq_hz, table.outputs())
+    dataset.write_csv(path, grid.values, table)
     header = path.read_text().splitlines()[0]
     assert header == "freq_hz,ux_max,uy_max,uz_max"
     freqs, outputs = dataset.read_csv(path)
-    npt.assert_array_equal(freqs, table.freq_hz)
-    npt.assert_array_equal(outputs, table.outputs())
+    npt.assert_array_equal(freqs, grid.values)
+    npt.assert_array_equal(outputs, table)
 
 
 # --- natural frequencies -------------------------------------------------------
@@ -570,13 +550,12 @@ def test_mesh_convergence_of_frequencies():
 
 
 def test_pivot_count_steps_by_one_across_modes():
-    from fem_surrogate.numerics import symmetric_pivots
     spec = beam.default_spec()
     _, red = beam.reduced_system(spec)
 
     def count_below(f):
         w = 2.0 * math.pi * f
-        return int(np.count_nonzero(symmetric_pivots(red.k - w * w * red.m) < 0.0))
+        return int(np.count_nonzero(band_ldlt((red.kb - w * w * red.mb)[None]).d < 0.0))
 
     freqs = beam.natural_frequencies(spec, 200.0)
     assert len(freqs) == 4
@@ -586,14 +565,14 @@ def test_pivot_count_steps_by_one_across_modes():
 
 
 def test_zero_pivot_raises_singular_naming_frequency(monkeypatch):
-    build = beam._dynamic_bands
+    build = beam._dynamic_matrix
 
     def zero_pivot_at_f_max(bands, freqs):
         dyn = build(bands, freqs)
         dyn[freqs == 200.0, 0, :] = 0.0
         return dyn
 
-    monkeypatch.setattr(beam, "_dynamic_bands", zero_pivot_at_f_max)
+    monkeypatch.setattr(beam, "_dynamic_matrix", zero_pivot_at_f_max)
     with pytest.raises(Singular, match="f = 200.0 Hz"):
         beam.natural_frequencies(beam.default_spec(), 200.0)
 
@@ -634,6 +613,34 @@ def test_default_damping_matches_eigh_first_mode(width, height):
     assert zeta == pytest.approx(0.01, rel=1e-6)
 
 
+def test_mode_finder_factors_at_most_32_shifts_per_call(monkeypatch):
+    # a 100 m square beam has 182 natural frequencies below 200 Hz, most of
+    # them in pairs, so a multisection round holds far more than 32 shifts
+    import scipy.linalg
+    base = beam.default_spec()
+    spec = beam.BeamSpec(100.0, beam.CrossSection(0.02, 0.02), base.material, 40,
+                         base.axis_direction, base.tip_load)
+    sizes = []
+
+    def recording(ab):
+        sizes.append(len(ab))
+        return band_ldlt(ab)
+
+    monkeypatch.setattr(beam, "band_ldlt", recording)
+    freqs = np.array(beam.natural_frequencies(spec, 200.0))
+    assert max(sizes) == 32  # every call within the cap, and the cap was reached
+
+    _, red = beam.reduced_system(spec)
+    lam = scipy.linalg.eigh(red.k, red.m, eigvals_only=True)
+    ref = np.sqrt(lam[lam <= (2.0 * math.pi * 200.0) ** 2]) / (2.0 * math.pi)
+    assert len(freqs) == len(ref) > 8
+    # rounding moves an eigenvalue by about eps * lam_max in eigh and in the
+    # pivot count alike (lam spans 1e-4 to 5e7 here), which outweighs the
+    # 1e-6 bracket for the lowest roots
+    floor = np.finfo(float).eps * lam.max() / (8.0 * math.pi ** 2 * ref)
+    assert np.all(np.abs(freqs - ref) <= 1e-6 * ref + floor)
+
+
 # --- orientation equivariance --------------------------------------------------
 
 def rotation_matrix(axis, angle):
@@ -658,8 +665,8 @@ def test_orientation_equivariance_static_and_harmonic():
                               section_ref=rot @ frame1[2])
         _, r1 = beam.reduced_system(spec1, damping=(0.0, 2e-4))
         _, r2 = beam.reduced_system(spec2, damping=(0.0, 2e-4))
-        for solve in (lambda r: beam.static_solve(r.k, r.f).astype(complex),
-                      lambda r: beam.harmonic_solve(r.k, r.m, r.c, r.f, 40.0)):
+        for solve in (lambda r: beam.static_solve(r.kb, r.f).astype(complex),
+                      lambda r: beam.harmonic_solve(r.kb, r.mb, r.cb, r.f, 40.0)):
             t1 = r1.expand(solve(r1)).reshape(-1, 6)[:, :3]
             t2 = r2.expand(solve(r2)).reshape(-1, 6)[:, :3]
             dev = np.abs(t2 - t1 @ rot.T).max() / np.abs(t1).max()

@@ -81,7 +81,7 @@ def test_generate_invalid_n_elements_exits_2(tmp_path):
 def test_n_elements_bound_from_memory_model(tmp_path, capsys):
     # the bound is checked through its estimate; no such mesh is built
     top = beam.MAX_ELEMENTS
-    assert beam.dense_model_bytes(top) <= beam.MEMORY_BUDGET < beam.dense_model_bytes(top + 1)
+    assert beam.band_model_bytes(top) <= beam.MEMORY_BUDGET < beam.band_model_bytes(top + 1)
     spec = beam.default_spec()
     beam.BeamSpec(spec.length, spec.section, spec.material, top,
                   spec.axis_direction, spec.tip_load)
@@ -237,6 +237,24 @@ def test_predict_wrong_version_exits_5(tmp_path, beam_model):
     bad.write_text(doc)
     res = run_cli("predict", "--model", str(bad), "--freq", "9")
     assert res.returncode == 5
+
+
+@pytest.mark.parametrize("case", ["short_bias", "extra_weights", "extra_biases", "relu"])
+def test_predict_malformed_model_exits_5(tmp_path, capsys, beam_model, case):
+    # each of these used to load, and predict printed a number
+    doc = json.loads(beam_model.read_text())
+    if case == "short_bias":
+        doc["biases"][0] = doc["biases"][0][:1]
+    elif case == "relu":
+        doc["activation"] = "relu"
+    else:
+        key = case.removeprefix("extra_")
+        doc[key].append(doc[key][-1])
+    bad = tmp_path / "bad.model"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["predict", "--model", str(bad), "--freq", "1.0"]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and "malformed model file" in err
 
 
 def test_predict_conflicting_modes_exits_2(beam_model):

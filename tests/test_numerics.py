@@ -16,14 +16,29 @@ def ldlt_product(f, s=0):
     return low @ np.diag(f.d[s]) @ low.T
 
 
-def factor(a):
-    """One-member factors of a dense symmetric matrix."""
-    return numerics.band_ldlt(numerics.band_storage(a, numerics.bandwidth(a))[None])
+def upper_band(a, b):
+    """Upper band storage (..., n, b+1) of symmetric matrices a (..., n, n):
+    ab[..., i, t] = a[..., i, i + t], zero past the edge."""
+    n = a.shape[-1]
+    ab = np.zeros(a.shape[:-1] + (b + 1,), a.dtype)
+    for t in range(b + 1):
+        ab[..., :n - t, t] = np.diagonal(a, t, axis1=-2, axis2=-1)
+    return ab
 
 
-def solve(a, rhs):
+def full_band(a):
+    """A dense symmetric matrix as band storage with b = n - 1."""
+    return upper_band(a, a.shape[-1] - 1)
+
+
+def factor(ab):
+    """One-member factors of the band matrix ab (n, b+1)."""
+    return numerics.band_ldlt(np.asarray(ab)[None])
+
+
+def solve(ab, rhs):
     """One-member solve without refinement, rhs (n,) or (n, m)."""
-    f = factor(a)
+    f = factor(ab)
     assert f.failure(0) is None
     return numerics.band_ldlt_solve(f, np.asarray(rhs)[None])[0]
 
@@ -44,7 +59,7 @@ def symmetric(rng, shape, complex_=False):
 
 
 def test_identity_factors_trivially():
-    f = factor(np.eye(3))
+    f = factor(np.ones((3, 1)))
     assert f.b == 0
     npt.assert_array_equal(f.d, np.ones((1, 3)))
     assert f.l.shape == (1, 3, 0)
@@ -53,20 +68,19 @@ def test_identity_factors_trivially():
 
 
 def test_diagonal_solve():
-    x = solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
+    x = solve(np.array([[2.0], [4.0]]), np.array([2.0, 8.0]))
     npt.assert_allclose(x, [1.0, 2.0], rtol=0, atol=0)
 
 
 def test_complex_diagonal_solve():
-    a = np.array([[1j, 0.0], [0.0, 1.0]])
-    x = solve(a, np.array([1j, 5.0]))
+    x = solve(np.array([[1j], [1.0]]), np.array([1j, 5.0]))
     npt.assert_allclose(x, [1.0, 5.0], rtol=1e-15)
 
 
 def test_identity_rhs_passthrough():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(7)
-    npt.assert_array_equal(solve(np.eye(7), b), b)
+    npt.assert_array_equal(solve(np.ones((7, 1)), b), b)
 
 
 def test_diagonally_dominant_residual():
@@ -75,7 +89,7 @@ def test_diagonally_dominant_residual():
     a = symmetric(rng, (n, n))
     a += np.diag(np.abs(a).sum(axis=1))
     b = rng.standard_normal(n)
-    x = solve(a, b)
+    x = solve(full_band(a), b)
     assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-10
 
 
@@ -83,7 +97,7 @@ def test_diagonally_dominant_residual():
 def test_reconstruction_bound(n):
     rng = np.random.default_rng(n)
     a = symmetric(rng, (n, n))
-    f = factor(a)
+    f = factor(full_band(a))
     assert np.abs(ldlt_product(f) - a).max() <= 1e-12 * np.abs(a).max()
 
 
@@ -91,7 +105,7 @@ def test_complex_reconstruction_and_solve():
     rng = np.random.default_rng(5)
     n = 40
     a = symmetric(rng, (n, n), complex_=True)
-    f = factor(a)
+    f = factor(full_band(a))
     assert np.abs(ldlt_product(f) - a).max() <= 1e-12 * np.abs(a).max()
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = numerics.band_ldlt_solve(f, b[None])[0]
@@ -102,16 +116,16 @@ def test_multiple_right_hand_sides():
     rng = np.random.default_rng(9)
     a = symmetric(rng, (12, 12)) + np.eye(12) * 6.0
     b = rng.standard_normal((12, 4))
-    x = solve(a, b)
+    x = solve(full_band(a), b)
     npt.assert_allclose(a @ x, b, atol=1e-12)
 
 
 def test_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
+    ab = np.array([[1.0, 2.0], [4.0, 0.0]])    # [[1, 2], [2, 4]]
     with pytest.raises(Singular, match="pivot 1 below tolerance"):
-        beam.static_solve(a, np.ones(2))
+        beam.static_solve(ab, np.ones(2))
     with pytest.raises(Singular, match="zero matrix"):
-        beam.static_solve(np.zeros((3, 3)), np.ones(3))
+        beam.static_solve(np.zeros((3, 1)), np.ones(3))
 
 
 def random_band(rng, n, b, complex_=False, batch=None):
@@ -128,15 +142,16 @@ def test_band_matrices_match_numpy_solve(b, complex_):
     n = 12
     a = random_band(rng, n, b, complex_, batch=5)
     rhs = rng.standard_normal((5, n, 2)) + (1j * rng.standard_normal((5, n, 2)) if complex_ else 0)
-    ab = np.stack([numerics.band_storage(m, b) for m in a])
+    ab = upper_band(a, b)
     f = numerics.band_ldlt(ab)
     npt.assert_array_equal(f.bad, -1)
     x = numerics.band_ldlt_solve(f, rhs)
     refined, _ = numerics.band_ldlt_refined(ab, rhs)
     for s in range(5):
-        assert numerics.bandwidth(a[s]) == b
-        assert np.abs(ldlt_product(f, s) - a[s]).max() <= 1e-12 * np.abs(a[s]).max()
-        ref = np.linalg.solve(a[s], rhs[s])
+        dense = numerics.band_to_dense(ab[s])
+        npt.assert_array_equal(dense, a[s])
+        assert np.abs(ldlt_product(f, s) - dense).max() <= 1e-12 * np.abs(dense).max()
+        ref = np.linalg.solve(dense, rhs[s])
         bound = 1e-13 * np.linalg.cond(a[s]) * np.linalg.norm(ref)
         assert np.linalg.norm(x[s] - ref) <= bound
         assert np.linalg.norm(refined[s] - ref) <= bound
@@ -145,7 +160,7 @@ def test_band_matrices_match_numpy_solve(b, complex_):
 def test_batched_members_bit_equal_one_member_solves():
     rng = np.random.default_rng(31)
     n, b, batch = 15, 3, 6
-    ab = np.stack([numerics.band_storage(m, b) for m in random_band(rng, n, b, True, batch)])
+    ab = upper_band(random_band(rng, n, b, True, batch), b)
     rhs = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
     x, f = numerics.band_ldlt_refined(ab, rhs)
     for s in range(batch):
@@ -161,7 +176,7 @@ def test_singular_member_leaves_rest_of_batch_alone():
     a = np.array([[[4.0, 1.0], [1.0, 3.0]],
                   [[1.0, 2.0], [2.0, 4.0]],
                   [[2.0, 1.0], [1.0, 5.0]]]) * np.array([1e20, 1.0, 1e-20])[:, None, None]
-    ab = np.stack([numerics.band_storage(m, 1) for m in a])
+    ab = upper_band(a, 1)
     rhs = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, -1.0]])
     x, f = numerics.band_ldlt_refined(ab, rhs)
     npt.assert_array_equal(f.bad, [-1, 1, -1])
@@ -178,7 +193,7 @@ def test_singular_member_leaves_rest_of_batch_alone():
 def test_entries_past_the_edge_are_ignored():
     rng = np.random.default_rng(41)
     a = random_band(rng, 6, 2, complex_=True)
-    ab = numerics.band_storage(a, 2)[None]
+    ab = upper_band(a, 2)[None]
     junk = ab.copy()
     junk[0, -1, 1:] = 7.0      # would be A[5, 6], A[5, 7]: outside the matrix
     junk[0, -2, 2] = -3.0
@@ -187,8 +202,18 @@ def test_entries_past_the_edge_are_ignored():
                            numerics.band_ldlt_refined(ab, rhs)[0])
 
 
-def negative_pivots(a):
-    return int(np.count_nonzero(numerics.symmetric_pivots(a) < 0.0))
+def test_band_to_dense_places_each_diagonal():
+    ab = np.array([[1.0, 2.0, 3.0],
+                   [4.0, 5.0, 6.0],
+                   [7.0, 8.0, 9.0]])     # 6, 8 and 9 lie past the edge
+    npt.assert_array_equal(numerics.band_to_dense(ab), [[1.0, 2.0, 3.0],
+                                                        [2.0, 4.0, 5.0],
+                                                        [3.0, 5.0, 7.0]])
+    npt.assert_array_equal(numerics.band_to_dense(np.array([[2j], [3.0]])), np.diag([2j, 3.0]))
+
+
+def negative_pivots(ab):
+    return int(np.count_nonzero(numerics.band_ldlt(ab[None]).d < 0.0))
 
 
 def test_negative_pivots_match_eigvalsh_on_random_matrices():
@@ -196,35 +221,33 @@ def test_negative_pivots_match_eigvalsh_on_random_matrices():
     for _ in range(20):
         b = rng.standard_normal((9, 9))
         a = b + b.T
-        pivots = numerics.symmetric_pivots(a)
-        assert pivots.size == 9
-        assert negative_pivots(a) == np.count_nonzero(np.linalg.eigvalsh(a) < 0.0)
+        pivots = numerics.band_ldlt(full_band(a)[None]).d[0]
+        assert np.all(np.isfinite(pivots)) and np.all(pivots != 0.0)   # no breakdown
+        assert negative_pivots(full_band(a)) == np.count_nonzero(np.linalg.eigvalsh(a) < 0.0)
 
 
 def test_pivot_count_steps_across_natural_frequency():
     # 2-DOF spring-mass chain: eigenvalues of K are the squared frequencies
-    k = np.diag([2.0, 3.0])
-    m = np.eye(2)
-    assert negative_pivots(k - 1.5 * m) == 0
-    assert negative_pivots(k - 2.5 * m) == 1
-    assert negative_pivots(k - 3.5 * m) == 2
+    kb = np.array([[2.0], [3.0]])
+    mb = np.ones((2, 1))
+    assert negative_pivots(kb - 1.5 * mb) == 0
+    assert negative_pivots(kb - 2.5 * mb) == 1
+    assert negative_pivots(kb - 3.5 * mb) == 2
 
 
 def test_symmetric_pivots_stop_at_zero_pivot():
-    pivots = numerics.symmetric_pivots(np.array([[1.0, 1.0, 0.0],
-                                                 [1.0, 1.0, 2.0],
-                                                 [0.0, 2.0, 5.0]]))
-    npt.assert_array_equal(pivots, [1.0, 0.0])
+    # [[1, 1, 0], [1, 1, 2], [0, 2, 5]]: the elimination breaks down at
+    # pivot 1, which the factors report as the member's first bad pivot
+    f = factor(np.array([[1.0, 1.0], [1.0, 2.0], [5.0, 0.0]]))
+    npt.assert_array_equal(f.d[0, :2], [1.0, 0.0])
+    npt.assert_array_equal(f.bad, [1])
+    assert f.failure(0).startswith("pivot 1 below tolerance")
 
 
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
-        numerics.band_storage(np.zeros((2, 3)), 1)
-    with pytest.raises(DimensionMismatch):
-        numerics.band_storage(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1)
-    with pytest.raises(DimensionMismatch, match="not symmetric"):
-        numerics.symmetric_pivots(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    f = factor(np.eye(3))
+        numerics.band_to_dense(np.zeros((2, 3, 1)))
+    f = factor(np.ones((3, 1)))
     with pytest.raises(DimensionMismatch):
         numerics.band_ldlt_solve(f, np.zeros((1, 4)))
     with pytest.raises(DimensionMismatch):
@@ -239,8 +262,7 @@ def test_symmetric_pivots_detect_definiteness():
     rng = np.random.default_rng(3)
     b = rng.standard_normal((10, 10))
     spd = b @ b.T + 10.0 * np.eye(10)
-    assert numerics.is_positive_definite(spd)
-    assert np.all(numerics.symmetric_pivots(spd) > 0)
+    assert np.all(numerics.band_ldlt(full_band(spd)[None]).d > 0)
     indef = spd.copy()
     indef[0, 0] = -1.0
-    assert not numerics.is_positive_definite(indef)
+    assert not np.all(numerics.band_ldlt(full_band(indef)[None]).d > 0)

@@ -145,8 +145,7 @@ def test_prominent_peaks_filter_noise():
 
 def _example2_true_channels():
     spec = beam.default_spec()
-    table = beam.frequency_sweep(spec, beam.default_grid(),
-                                 beam.default_damping(spec)).outputs()
+    table = beam.frequency_sweep(spec, beam.default_grid(), beam.default_damping(spec))
     return [table[:, c] for c in range(3)]
 
 
