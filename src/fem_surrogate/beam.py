@@ -526,20 +526,35 @@ def natural_frequencies(spec: BeamSpec, f_max: float) -> list[float]:
     bands = (red.kb, red.mb, None)
     counts = {0.0: 0}  # K is positive definite
 
-    def bracket(i):
-        """Tightest known [lo, hi] with count(lo) < i <= count(hi)."""
-        return (max(f for f, c in counts.items() if c < i),
-                min(f for f, c in counts.items() if c >= i))
+    def brackets():
+        return zip(*_brackets(np.array(list(counts)), np.array(list(counts.values())),
+                              counts[f_max]))
 
     steps = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
     shifts = np.linspace(0.0, f_max, _SHIFTS + 2)[1:]  # f_max itself, first round only
     while shifts.size:
         counts.update(zip(shifts.tolist(), _negative_pivots(bands, shifts).tolist()))
-        open_ = {(lo, hi) for lo, hi in map(bracket, range(1, counts[f_max] + 1))
-                 if hi - lo > 1e-6 * hi}
+        open_ = {(lo, hi) for lo, hi in brackets() if hi - lo > 1e-6 * hi}
         shifts = np.array([lo + (hi - lo) * t for lo, hi in sorted(open_) for t in steps])
     # every root sharing a bracket lies in it and gets its midpoint
-    return [0.5 * (lo + hi) for lo, hi in map(bracket, range(1, counts[f_max] + 1))]
+    return [0.5 * (lo + hi) for lo, hi in brackets()]
+
+
+def _brackets(freqs: np.ndarray, counts: np.ndarray, n: int) -> tuple[list, list]:
+    """For i = 1..n, the tightest known bracket [lo_i, hi_i] with
+    count(lo_i) < i <= count(hi_i): lo_i is the largest probed f with
+    count < i, hi_i the smallest with count >= i.  Counts need not be
+    monotone in f.  With the probes sorted by count, the first kind is a
+    prefix and the second the rest, so a prefix maximum and a suffix
+    minimum, indexed by np.searchsorted, give every bracket in
+    O(p log p) for p probes.  Needs a probe with count < 1 and one with
+    count >= n."""
+    order = np.argsort(counts, kind="stable")
+    f = freqs[order]
+    split = np.searchsorted(counts[order], np.arange(1, n + 1), side="left")
+    lo = np.maximum.accumulate(f)[split - 1]
+    hi = np.minimum.accumulate(f[::-1])[::-1][split]
+    return lo.tolist(), hi.tolist()
 
 
 def default_damping(spec: BeamSpec, target_zeta: float = 0.01,

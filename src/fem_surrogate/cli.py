@@ -120,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=["example1", "example2"], required=True)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--plot", default=None, help="optional SVG path")
+    p.add_argument("--history", default=None, help="optional epoch,mse CSV path")
 
     return parser
 
@@ -283,6 +284,13 @@ def _train_config_from(args, make_default, seed) -> mlp.TrainConfig:
     )
 
 
+def _write_history(path, h: mlp.TrainHistory) -> None:
+    """epoch,train_mse,test_mse per epoch; every pipeline holds out a test
+    split, so test_mse is always there."""
+    dataset.write_rows(path, ["epoch", "train_mse", "test_mse"],
+                       np.column_stack([np.arange(len(h.train_mse)), h.train_mse, h.test_mse]))
+
+
 def cmd_train(args) -> int:
     _check_out_path(args.out_model)
     _check_out_path(args.history)
@@ -311,10 +319,7 @@ def cmd_train(args) -> int:
     mlp.save_model(m.net, m.input_scaler, m.target_scaler, args.out_model, meta=meta)
 
     if args.history:
-        h = fit.history  # fit_surrogate always holds out a test split
-        dataset.write_rows(args.history, ["epoch", "train_mse", "test_mse"],
-                           np.column_stack([np.arange(len(h.train_mse)), h.train_mse,
-                                            h.test_mse]))
+        _write_history(args.history, fit.history)
 
     print(f"final_train_mse_scaled={fit.train_mse_scaled:.17g} "
           f"final_test_mse_scaled={fit.test_mse_scaled:.17g} model={args.out_model}")
@@ -357,6 +362,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     _check_out_path(args.plot)
+    _check_out_path(args.history)
     seed = _seed(args)
     test_fraction = 0.2 if args.test_fraction is None else args.test_fraction
     hidden = _hidden_sizes(args.hidden)
@@ -384,6 +390,8 @@ def cmd_eval(args) -> int:
     report.write_metrics(metrics)
     if args.plot:
         report.write_svg(args.plot)
+    if args.history:
+        _write_history(args.history, report.history)
     print(f"curves={curves} metrics={metrics}"
           + (f" plot={args.plot}" if args.plot else ""))
     print(f"final_train_mse_scaled={report.train_mse_scaled:.17g} "

@@ -76,12 +76,24 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
+        """Inverse of to_dict.  Raises InvalidParams unless the min-max bounds
+        are finite, of one length and ordered (col_min <= col_max), and the
+        log10 floor is unset or a finite number >= 0."""
         scheme = d["scheme"]
         if scheme == LINEAR_MINMAX:
-            return cls(scheme, col_min=np.asarray(d["col_min"], dtype=float),
-                       col_max=np.asarray(d["col_max"], dtype=float))
+            lo = np.asarray(d["col_min"], dtype=float)
+            hi = np.asarray(d["col_max"], dtype=float)
+            if lo.ndim != 1 or lo.shape != hi.shape or not (
+                    np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
+                raise InvalidParams(
+                    f"min-max bounds must be finite, of one length and ordered, got "
+                    f"col_min={lo.tolist()} col_max={hi.tolist()}")
+            return cls(scheme, col_min=lo, col_max=hi)
         if scheme == LOG10:
-            return cls(scheme, floor_eps=d["floor_eps"])
+            floor = d["floor_eps"]
+            if floor is not None and not (math.isfinite(floor) and floor >= 0.0):
+                raise InvalidParams(f"floor_eps must be finite and >= 0, got {floor}")
+            return cls(scheme, floor_eps=floor)
         raise InvalidParams(f"unknown scaling scheme {scheme!r}")
 
 

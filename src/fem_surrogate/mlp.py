@@ -8,6 +8,7 @@ trained model.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,29 +27,83 @@ from .errors import (
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass
-class Mlp:
-    """weights[l] has shape (layer_sizes[l+1], layer_sizes[l]); biases[l]
-    has shape (layer_sizes[l+1],)."""
+def _shapes(layer_sizes) -> list[tuple[int, ...]]:
+    """Shapes of every weight matrix, then of every bias: the order of
+    Mlp.theta."""
+    pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+    return [(fan_out, fan_in) for fan_in, fan_out in pairs] + [(fan_out,) for _, fan_out in pairs]
 
-    layer_sizes: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activation: str = "tanh"
+
+def _layers(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Consecutive row-major views into flat, one per shape; shapes lists
+    every weight's, then every bias's, so the views split into the weights
+    and the biases."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at:at + size].reshape(shape))
+        at += size
+    return views[:len(views) // 2], views[len(views) // 2:]
+
+
+def _pack(weights, biases) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """The arrays copied into one contiguous float64 vector, weights first,
+    and their shapes."""
+    arrays = [np.asarray(a, dtype=float) for a in [*weights, *biases]]
+    return np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays]
+
+
+class Mlp:
+    """All parameters live in theta, one contiguous float64 vector: every
+    weight matrix row-major, then every bias.  weights[l], of shape
+    (layer_sizes[l+1], layer_sizes[l]), and biases[l], of shape
+    (layer_sizes[l+1],), are views into it, so an in-place update of theta
+    updates the layers.  The constructor copies the given arrays into a new
+    theta."""
+
+    def __init__(self, layer_sizes, weights, biases, activation: str = "tanh"):
+        theta, found = _pack(weights, biases)
+        if found != _shapes(layer_sizes):
+            raise DimensionMismatch(
+                f"parameter shapes {found} do not fit layers {list(layer_sizes)}")
+        self._bind(layer_sizes, theta, activation)
+
+    @classmethod
+    def _from_theta(cls, layer_sizes, theta: np.ndarray, activation: str = "tanh") -> "Mlp":
+        """A net whose parameters are theta itself, not a copy."""
+        net = cls.__new__(cls)
+        net._bind(layer_sizes, theta, activation)
+        return net
+
+    def _bind(self, layer_sizes, theta: np.ndarray, activation: str) -> None:
+        self.layer_sizes, self.theta, self.activation = list(layer_sizes), theta, activation
+        self.weights, self.biases = _layers(theta, _shapes(self.layer_sizes))
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "Mlp":
-        return Mlp(list(self.layer_sizes), [w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases], self.activation)
+        return Mlp._from_theta(self.layer_sizes, self.theta.copy(), self.activation)
 
 
-@dataclass
 class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    """d(mse)/d(theta) in the layout of Mlp.theta: one flat vector, with
+    per-layer weights and biases views into it.  The constructor copies the
+    given arrays."""
+
+    def __init__(self, weights, biases):
+        self._bind(*_pack(weights, biases))
+
+    @classmethod
+    def _zeros(cls, net: Mlp) -> "Gradients":
+        grads = cls.__new__(cls)
+        grads._bind(np.zeros_like(net.theta), _shapes(net.layer_sizes))
+        return grads
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        self.flat = flat
+        self.weights, self.biases = _layers(flat, shapes)
 
 
 @dataclass
@@ -79,13 +134,16 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the model parameters."""
+    """First/second moment accumulators in the layout of Mlp.theta, the step
+    count, and a (2, n) work space that adam_step writes its temporaries to."""
 
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, self.m.size))
 
 
 @dataclass
@@ -113,12 +171,11 @@ def init(layer_sizes, seed: int) -> Mlp:
     if any(s < 1 for s in sizes):
         raise InvalidArchitecture(f"all layer sizes must be >= 1, got {sizes}")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(sizes, weights, biases)
+    net = Mlp._from_theta(sizes, np.zeros(sum(math.prod(s) for s in _shapes(sizes))))
+    for w in net.weights:
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def forward(net: Mlp, x) -> np.ndarray:
@@ -147,9 +204,10 @@ def mse(predictions, targets) -> float:
     return float(np.mean((p - t) ** 2))
 
 
-def backward(net: Mlp, x, targets) -> Gradients:
+def backward(net: Mlp, x, targets, out: Gradients | None = None) -> Gradients:
     """Analytic gradient of mse(forward(net, x), targets) for every weight
-    and bias."""
+    and bias.  Written into out, whose flat vector must have the size of
+    net.theta, when given; into new Gradients otherwise."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(targets, dtype=float)
     if x.ndim == 1:
@@ -162,6 +220,9 @@ def backward(net: Mlp, x, targets) -> Gradients:
             f"batch shapes {x.shape}, {t.shape} do not fit layers {net.layer_sizes}")
     if x.shape[0] == 0:
         raise EmptyBatch("backward over an empty batch")
+    if out is None:
+        out = Gradients._zeros(net)
+    _check_size(net, out)
 
     last = net.n_layers - 1
     acts = [x]
@@ -172,63 +233,54 @@ def backward(net: Mlp, x, targets) -> Gradients:
             a = np.tanh(a)
         acts.append(a)
 
-    gw = [None] * net.n_layers
-    gb = [None] * net.n_layers
     delta = 2.0 * (acts[-1] - t) / t.size  # d(mse)/d(output)
     for l in range(last, -1, -1):
-        gw[l] = delta.T @ acts[l]
-        gb[l] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[l], out=out.weights[l])
+        np.sum(delta, axis=0, out=out.biases[l])
         if l > 0:
             delta = (delta @ net.weights[l]) * (1.0 - acts[l] ** 2)  # tanh'
-    return Gradients(gw, gb)
+    return out
 
 
-def _check_grad_shapes(net: Mlp, grads: Gradients) -> None:
-    ok = len(grads.weights) == net.n_layers and len(grads.biases) == net.n_layers \
-        and all(g.shape == w.shape for g, w in zip(grads.weights, net.weights)) \
-        and all(g.shape == b.shape for g, b in zip(grads.biases, net.biases))
-    if not ok:
-        raise DimensionMismatch("gradient shapes do not mirror the model parameters")
+def _check_size(net: Mlp, grads: Gradients) -> None:
+    if grads.flat.size != net.theta.size:
+        raise DimensionMismatch(
+            f"{grads.flat.size} gradient entries for {net.theta.size} parameters")
 
 
 def sgd_step(net: Mlp, grads: Gradients, learning_rate: float) -> Mlp:
     """In-place theta <- theta - lr * g."""
-    _check_grad_shapes(net, grads)
-    for w, b, gw, gb in zip(net.weights, net.biases, grads.weights, grads.biases):
-        w -= learning_rate * gw
-        b -= learning_rate * gb
+    _check_size(net, grads)
+    net.theta -= learning_rate * grads.flat
     return net
 
 
 def adam_init(net: Mlp) -> AdamState:
-    return AdamState(
-        m_weights=[np.zeros_like(w) for w in net.weights],
-        m_biases=[np.zeros_like(b) for b in net.biases],
-        v_weights=[np.zeros_like(w) for w in net.weights],
-        v_biases=[np.zeros_like(b) for b in net.biases],
-    )
+    return AdamState(np.zeros_like(net.theta), np.zeros_like(net.theta))
 
 
 def adam_step(net: Mlp, grads: Gradients, state: AdamState,
               config: TrainConfig) -> tuple[Mlp, AdamState]:
-    """One bias-corrected Adam update, in place:
+    """One bias-corrected Adam update (Kingma & Ba 2015, Algorithm 1), in
+    place over the whole parameter vector:
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2;
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)."""
-    _check_grad_shapes(net, grads)
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+    Every ufunc writes into m, v, theta or the state's scratch, in the
+    operation order of these formulas, so nothing is allocated."""
+    _check_size(net, grads)
     state.t += 1
     b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    params = zip(net.weights + net.biases,
-                 grads.weights + grads.biases,
-                 state.m_weights + state.m_biases,
-                 state.v_weights + state.v_biases)
-    for theta, g, m, v in params:
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g ** 2
-        theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    g, m, v = grads.flat, state.m, state.v
+    s, u = state.scratch
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=s)
+    v *= b2
+    v += np.multiply(np.square(g, out=s), 1.0 - b2, out=s)
+    np.multiply(np.divide(m, c1, out=s), lr, out=s)            # lr * m_hat
+    np.add(np.sqrt(np.divide(v, c2, out=u), out=u), eps, out=u)  # sqrt(v_hat) + eps
+    net.theta -= np.divide(s, u, out=s)
     return net, state
 
 
@@ -245,6 +297,9 @@ def train(net: Mlp, data: TrainSplit, config: TrainConfig) -> tuple[Mlp, TrainHi
     rng = np.random.default_rng(config.seed)
     state = adam_init(net) if config.optimizer == "adam" else None
     n = x.shape[0]
+    grads = Gradients._zeros(net)
+    batch = min(config.batch_size, n)
+    x_batch, y_batch = np.empty((batch,) + x.shape[1:]), np.empty((batch,) + y.shape[1:])
 
     history = TrainHistory(test_mse=[] if has_test else None)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
@@ -252,7 +307,12 @@ def train(net: Mlp, data: TrainSplit, config: TrainConfig) -> tuple[Mlp, TrainHi
             perm = rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 idx = perm[start:start + config.batch_size]
-                grads = backward(net, x[idx], y[idx])
+                xb, yb = x_batch[:idx.size], y_batch[:idx.size]
+                # idx is a slice of a permutation, so always in range; "clip"
+                # spares the buffered copy that take's default "raise" makes
+                np.take(x, idx, axis=0, out=xb, mode="clip")
+                np.take(y, idx, axis=0, out=yb, mode="clip")
+                backward(net, xb, yb, out=grads)
                 if config.optimizer == "adam":
                     adam_step(net, grads, state, config)
                 else:
@@ -273,22 +333,20 @@ def grad_check(net: Mlp, x, targets, h: float = 1e-6) -> float:
         raise InvalidParams(f"h must lie in [1e-8, 1e-4], got {h}")
     x = np.asarray(x, dtype=float)
     t = np.asarray(targets, dtype=float)
-    analytic = backward(net, x, t)
+    analytic = backward(net, x, t).flat
 
+    theta = net.theta
     worst = 0.0
-    for theta, g in zip(net.weights + net.biases, analytic.weights + analytic.biases):
-        flat = theta.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            up = mse(forward(net, x), t)
-            flat[i] = keep - h
-            down = mse(forward(net, x), t)
-            flat[i] = keep
-            numeric = (up - down) / (2.0 * h)
-            err = abs(gflat[i] - numeric) / max(1e-12, abs(gflat[i]) + abs(numeric))
-            worst = max(worst, err)
+    for i in range(theta.size):
+        keep = theta[i]
+        theta[i] = keep + h
+        up = mse(forward(net, x), t)
+        theta[i] = keep - h
+        down = mse(forward(net, x), t)
+        theta[i] = keep
+        numeric = (up - down) / (2.0 * h)
+        err = abs(analytic[i] - numeric) / max(1e-12, abs(analytic[i]) + abs(numeric))
+        worst = max(worst, err)
     return worst
 
 
@@ -336,14 +394,17 @@ def load_model(path) -> tuple[Mlp, Scaler | None, Scaler | None, dict]:
             raise ValueError(
                 f"{len(sizes) - 1} layers need as many weight and bias arrays, got "
                 f"{len(doc['weights'])} and {len(doc['biases'])}")
-        weights, biases = [], []
-        for fan_in, fan_out, wflat, b in zip(sizes[:-1], sizes[1:],
-                                             doc["weights"], doc["biases"]):
-            weights.append(np.array(wflat, dtype=float).reshape(fan_out, fan_in))
-            biases.append(np.array(b, dtype=float))
-            if biases[-1].shape != (fan_out,):
-                raise ValueError(f"bias of {biases[-1].size} entries for a layer of {fan_out}")
-        net = Mlp(sizes, weights, biases, doc["activation"])
+        # every array is stored flat: a weight matrix row-major, a bias as is
+        arrays = [np.array(a, dtype=float) for a in doc["weights"] + doc["biases"]]
+        found = [a.shape for a in arrays]
+        expected = [(math.prod(s),) for s in _shapes(sizes)]
+        if found != expected:
+            raise ValueError(f"parameter arrays of shapes {found} for layers {sizes} "
+                             f"need {expected}")
+        theta = np.concatenate(arrays)
+        if not np.isfinite(theta).all():
+            raise ValueError("weights and biases must be finite")
+        net = Mlp._from_theta(sizes, theta, doc["activation"])
         in_sc = doc.get("input_scaler")
         out_sc = doc.get("target_scaler")
         return (net,

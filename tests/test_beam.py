@@ -641,6 +641,25 @@ def test_mode_finder_factors_at_most_32_shifts_per_call(monkeypatch):
     assert np.all(np.abs(freqs - ref) <= 1e-6 * ref + floor)
 
 
+def _brute_brackets(freqs, counts, n):
+    pairs = list(zip(freqs.tolist(), counts.tolist()))
+    return ([max(f for f, c in pairs if c < i) for i in range(1, n + 1)],
+            [min(f for f, c in pairs if c >= i) for i in range(1, n + 1)])
+
+
+def test_brackets_match_brute_force_definition():
+    # counts out of order in f (rounding can do this near a cluster), with
+    # ties and probes that arrive unsorted
+    freqs = np.array([0.0, 9.0, 5.0, 2.0, 7.0, 3.0, 1.0, 8.0, 4.0, 6.0, 2.5])
+    counts = np.array([0, 6, 3, 2, 4, 1, 1, 5, 4, 2, 2])
+    assert beam._brackets(freqs, counts, 6) == _brute_brackets(freqs, counts, 6)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        f = np.concatenate([[0.0], rng.permutation(rng.uniform(0.0, 10.0, 30)), [10.0]])
+        c = np.concatenate([[0], rng.integers(0, 8, 30), [8]])
+        assert beam._brackets(f, c, 8) == _brute_brackets(f, c, 8)
+
+
 # --- orientation equivariance --------------------------------------------------
 
 def rotation_matrix(axis, angle):

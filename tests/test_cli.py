@@ -239,20 +239,48 @@ def test_predict_wrong_version_exits_5(tmp_path, beam_model):
     assert res.returncode == 5
 
 
-@pytest.mark.parametrize("case", ["short_bias", "extra_weights", "extra_biases", "relu"])
-def test_predict_malformed_model_exits_5(tmp_path, capsys, beam_model, case):
-    # each of these used to load, and predict printed a number
-    doc = json.loads(beam_model.read_text())
+def _corrupt(doc, case):
     if case == "short_bias":
         doc["biases"][0] = doc["biases"][0][:1]
+    elif case == "nested_bias":
+        doc["biases"][0] = [doc["biases"][0]]
+    elif case == "nested_weights":
+        doc["weights"][1] = [doc["weights"][1]]
     elif case == "relu":
         doc["activation"] = "relu"
-    else:
+    elif case.startswith("extra_"):
         key = case.removeprefix("extra_")
         doc[key].append(doc[key][-1])
+    elif case == "nan_weight":
+        doc["weights"][1][0] = math.nan
+    elif case == "inf_bias":
+        doc["biases"][0][2] = -math.inf
+    elif case == "inf_col_max":
+        doc["input_scaler"]["col_max"][0] = math.inf
+    elif case == "nan_col_min":
+        doc["input_scaler"]["col_min"][0] = math.nan
+    elif case == "inverted_bounds":
+        sc = doc["input_scaler"]
+        sc["col_min"], sc["col_max"] = sc["col_max"], sc["col_min"]
+    elif case == "nan_floor":
+        doc["target_scaler"]["floor_eps"] = math.nan
+    elif case == "inf_floor":
+        doc["target_scaler"]["floor_eps"] = math.inf
+    else:
+        doc["target_scaler"]["floor_eps"] = -1e-18
+
+
+@pytest.mark.parametrize("case", ["short_bias", "nested_bias", "nested_weights",
+                                  "extra_weights", "extra_biases", "relu", "nan_weight", "inf_bias", "inf_col_max", "nan_col_min",
+                                  "inverted_bounds", "nan_floor", "inf_floor",
+                                  "negative_floor"])
+def test_predict_malformed_model_exits_5(tmp_path, capsys, beam_model, case):
+    # each of these used to load, and predict printed a number (nan for nan_weight)
+    doc = json.loads(beam_model.read_text())
+    _corrupt(doc, case)
     bad = tmp_path / "bad.model"
-    bad.write_text(json.dumps(doc))
-    assert cli.main(["predict", "--model", str(bad), "--freq", "1.0"]) == 5
+    bad.write_text(json.dumps(doc))  # non-finite floats become NaN / Infinity tokens
+    assert cli.main(["predict", "--model", str(bad), "--freq", "50"]) == 5
     out, err = capsys.readouterr()
     assert out == "" and "malformed model file" in err
 
@@ -281,6 +309,32 @@ def test_eval_small_run_writes_artifacts(tmp_path):
     assert kv["experiment"] == "example2"
     assert "final_test_mse_scaled" in kv
     assert svg.read_text().count("<polyline") == 6
+
+
+def test_eval_history_matches_generate_then_train(tmp_path):
+    seed = ["--seed", "3", "--epochs", "3"]
+    data, model, hist = tmp_path / "osc.csv", tmp_path / "m.json", tmp_path / "train.csv"
+    assert cli.main(["generate", "--experiment", "example1", "--seed", "3",
+                     "--out", str(data)]) == 0
+    assert cli.main(["train", "--data", str(data), "--out-model", str(model),
+                     "--history", str(hist), *seed]) == 0
+    plain, with_hist = tmp_path / "plain", tmp_path / "hist"
+    assert cli.main(["eval", "--experiment", "example1", "--out-dir", str(plain), *seed]) == 0
+    assert cli.main(["eval", "--experiment", "example1", "--out-dir", str(with_hist),
+                     "--history", str(with_hist / "history.csv"), *seed]) == 0
+    assert (with_hist / "history.csv").read_bytes() == hist.read_bytes()
+    assert len(hist.read_text().splitlines()) == 4
+    for name in ("example1_curves.csv", "example1_metrics.txt"):
+        assert (with_hist / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_eval_unwritable_history_exits_2_before_work(tmp_path, capsys):
+    out_dir = tmp_path / "report"
+    rc = cli.main(["eval", "--experiment", "example1", "--out-dir", str(out_dir),
+                   "--history", str(tmp_path / "missing" / "h.csv")])
+    assert rc == 2
+    assert "output directory does not exist" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_eval_close_bending_planes_tunes_beta_to_first_mode(tmp_path):
