@@ -309,7 +309,7 @@ def cmd_train(args) -> int:
     cfg = _train_config_from(args, make_cfg, seed)
     test_fraction = 0.2 if args.test_fraction is None else args.test_fraction
     fit = surrogate.fit_surrogate(freqs, outputs, layers, cfg, seed, test_fraction,
-                                  target_scheme)
+                                  target_scheme, record=args.history is not None)
 
     # The input scaler is min-max over the train split: its ends are the
     # trained frequency range.
@@ -368,13 +368,14 @@ def cmd_eval(args) -> int:
     hidden = _hidden_sizes(args.hidden)
     k = 1 if args.experiment == "example1" else 3
     layers = None if hidden is None else [1] + hidden + [k]
+    record = args.history is not None  # per-epoch losses only for the history CSV
 
     if args.experiment == "example1":
         cfg = _train_config_from(args, surrogate.example1_train_config, seed)
         report = surrogate.run_example1(
             osc=_osc_params(args), grid=_grid_or(args, osc_mod.DEFAULT_GRID),
             train_config=cfg, split_seed=seed, layer_sizes=layers,
-            test_fraction=test_fraction)
+            test_fraction=test_fraction, record=record)
     else:
         spec = _beam_spec(args)
         cfg = _train_config_from(args, surrogate.example2_train_config, seed)
@@ -382,7 +383,7 @@ def cmd_eval(args) -> int:
             spec=spec, grid=_grid_or(args, beam_mod.DEFAULT_GRID),
             damping=_damping_or_default(args, spec),
             train_config=cfg, split_seed=seed, layer_sizes=layers,
-            test_fraction=test_fraction)
+            test_fraction=test_fraction, record=record)
 
     curves = os.path.join(args.out_dir, f"{args.experiment}_curves.csv")
     metrics = os.path.join(args.out_dir, f"{args.experiment}_metrics.txt")

@@ -236,7 +236,7 @@ def backward(net: Mlp, x, targets, out: Gradients | None = None) -> Gradients:
     delta = 2.0 * (acts[-1] - t) / t.size  # d(mse)/d(output)
     for l in range(last, -1, -1):
         np.matmul(delta.T, acts[l], out=out.weights[l])
-        np.sum(delta, axis=0, out=out.biases[l])
+        delta.sum(axis=0, out=out.biases[l])
         if l > 0:
             delta = (delta @ net.weights[l]) * (1.0 - acts[l] ** 2)  # tanh'
     return out
@@ -284,10 +284,13 @@ def adam_step(net: Mlp, grads: Gradients, state: AdamState,
     return net, state
 
 
-def train(net: Mlp, data: TrainSplit, config: TrainConfig) -> tuple[Mlp, TrainHistory]:
-    """Seeded-shuffled minibatch epochs; records full-batch train (and test)
-    MSE after every epoch.  Raises NanLoss naming the epoch if the loss goes
-    non-finite."""
+def train(net: Mlp, data: TrainSplit, config: TrainConfig,
+          record: bool = True) -> tuple[Mlp, TrainHistory]:
+    """Seeded-shuffled minibatch epochs.  With record, appends the full-batch
+    train (and test) MSE to the history after every epoch and raises NanLoss
+    naming the epoch if the loss goes non-finite.  Without it, the history
+    stays empty and the per-epoch check is that theta is finite instead; the
+    trained parameters are the same bits either way."""
     x, y = np.asarray(data.x_train, dtype=float), np.asarray(data.y_train, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"x/y sample counts differ: {x.shape[0]} vs {y.shape[0]}")
@@ -310,19 +313,22 @@ def train(net: Mlp, data: TrainSplit, config: TrainConfig) -> tuple[Mlp, TrainHi
                 xb, yb = x_batch[:idx.size], y_batch[:idx.size]
                 # idx is a slice of a permutation, so always in range; "clip"
                 # spares the buffered copy that take's default "raise" makes
-                np.take(x, idx, axis=0, out=xb, mode="clip")
-                np.take(y, idx, axis=0, out=yb, mode="clip")
+                x.take(idx, axis=0, out=xb, mode="clip")
+                y.take(idx, axis=0, out=yb, mode="clip")
                 backward(net, xb, yb, out=grads)
                 if config.optimizer == "adam":
                     adam_step(net, grads, state, config)
                 else:
                     sgd_step(net, grads, config.learning_rate)
-            train_loss = mse(forward(net, x), y)
-            if not np.isfinite(train_loss):
-                raise NanLoss(f"training loss became non-finite at epoch {epoch}")
-            history.train_mse.append(train_loss)
-            if has_test:
-                history.test_mse.append(mse(forward(net, data.x_test), data.y_test))
+            if record:
+                train_loss = mse(forward(net, x), y)
+                if not np.isfinite(train_loss):
+                    raise NanLoss(f"training loss became non-finite at epoch {epoch}")
+                history.train_mse.append(train_loss)
+                if has_test:
+                    history.test_mse.append(mse(forward(net, data.x_test), data.y_test))
+            elif not np.isfinite(net.theta).all():
+                raise NanLoss(f"parameters became non-finite at epoch {epoch}")
     return net, history
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import beam as beam_mod
 from . import dataset, mlp
 from . import oscillator as osc_mod
-from .errors import ModelNotTrained
+from .errors import ModelNotTrained, NanLoss
 from .svgplot import plot_curves
 
 PEAK_PROMINENCE_FACTOR = 3.0  # prominent = prominence above 3x channel median
@@ -208,9 +208,12 @@ class Fit:
 
 
 def fit_surrogate(freqs, outputs, layer_sizes, train_config: mlp.TrainConfig,
-                  split_seed: int, test_fraction: float, target_scheme: str) -> Fit:
+                  split_seed: int, test_fraction: float, target_scheme: str,
+                  record: bool = True) -> Fit:
     """Split -> fit both scalers on the train part only -> init and train
-    the net -> final train/test MSE in scaled space."""
+    the net -> final train/test MSE in scaled space.  record asks mlp.train
+    for the per-epoch loss history; the model and the final MSEs do not
+    depend on it.  Raises NanLoss if a final MSE is not finite."""
     train_idx, test_idx = dataset.split(len(freqs), test_fraction, split_seed)
     f_train, y_train = freqs[train_idx], outputs[train_idx]
     input_scaler = dataset.scale_fit(f_train, dataset.LINEAR_MINMAX)
@@ -222,16 +225,21 @@ def fit_surrogate(freqs, outputs, layer_sizes, train_config: mlp.TrainConfig,
         y_test=dataset.scale_apply(target_scaler, outputs[test_idx]),
     )
     net = mlp.init(layer_sizes, train_config.seed)
-    net, history = mlp.train(net, data, train_config)
+    net, history = mlp.train(net, data, train_config, record=record)
+    # A finite theta still overflows the MSE once the outputs pass ~1e154.
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_mse = mlp.mse(mlp.forward(net, data.x_train), data.y_train)
+        test_mse = mlp.mse(mlp.forward(net, data.x_test), data.y_test)
+    if not (np.isfinite(train_mse) and np.isfinite(test_mse)):
+        raise NanLoss(f"final scaled MSE is not finite: train {train_mse}, test {test_mse}")
     return Fit(SurrogateModel(net, input_scaler, target_scaler), history, test_idx,
-               train_mse_scaled=mlp.mse(mlp.forward(net, data.x_train), data.y_train),
-               test_mse_scaled=mlp.mse(mlp.forward(net, data.x_test), data.y_test))
+               train_mse_scaled=train_mse, test_mse_scaled=test_mse)
 
 
 def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
-                  split_seed, test_fraction, target_scheme, config_echo):
+                  split_seed, test_fraction, target_scheme, config_echo, record=True):
     fit = fit_surrogate(freqs, true_out, layer_sizes, train_config, split_seed,
-                        test_fraction, target_scheme)
+                        test_fraction, target_scheme, record)
     model = fit.model
     model.meta = {"experiment": experiment, "freq_min_hz": float(freqs[0]),
                   "freq_max_hz": float(freqs[-1])}
@@ -282,9 +290,10 @@ def run_example1(osc: osc_mod.OscillatorParams | None = None,
                  train_config: mlp.TrainConfig | None = None,
                  split_seed: int = 42,
                  layer_sizes=None,
-                 test_fraction: float = 0.2) -> ExperimentReport:
+                 test_fraction: float = 0.2,
+                 record: bool = True) -> ExperimentReport:
     """Oscillator pipeline: analytic sweep -> split -> scale -> train a
-    1-100-100-1 net -> report."""
+    1-100-100-1 net -> report.  record as in fit_surrogate."""
     osc = osc or osc_mod.DEFAULT_PARAMS
     grid = grid or osc_mod.default_grid()
     cfg = train_config or example1_train_config()
@@ -304,7 +313,7 @@ def run_example1(osc: osc_mod.OscillatorParams | None = None,
         "input_scaling": dataset.LINEAR_MINMAX, "target_scaling": dataset.LOG10,
     }
     return _run_pipeline("example1", grid.values, outputs, layers, cfg, split_seed,
-                         test_fraction, dataset.LOG10, echo)
+                         test_fraction, dataset.LOG10, echo, record)
 
 
 def run_example2(spec: beam_mod.BeamSpec | None = None,
@@ -313,9 +322,10 @@ def run_example2(spec: beam_mod.BeamSpec | None = None,
                  train_config: mlp.TrainConfig | None = None,
                  split_seed: int = 42,
                  layer_sizes=None,
-                 test_fraction: float = 0.2) -> ExperimentReport:
+                 test_fraction: float = 0.2,
+                 record: bool = True) -> ExperimentReport:
     """Beam pipeline: FEM frequency sweep -> split -> log10-scaled targets ->
-    Adam-trained 1-200-200-3 net -> report."""
+    Adam-trained 1-200-200-3 net -> report.  record as in fit_surrogate."""
     spec = spec or beam_mod.default_spec()
     grid = grid or beam_mod.default_grid()
     cfg = train_config or example2_train_config()
@@ -344,4 +354,4 @@ def run_example2(spec: beam_mod.BeamSpec | None = None,
         "input_scaling": dataset.LINEAR_MINMAX, "target_scaling": dataset.LOG10,
     }
     return _run_pipeline("example2", grid.values, outputs, layers, cfg, split_seed,
-                         test_fraction, dataset.LOG10, echo)
+                         test_fraction, dataset.LOG10, echo, record)

@@ -6,7 +6,7 @@ import sys
 import pytest
 import scipy.linalg
 
-from fem_surrogate import beam, cli
+from fem_surrogate import beam, cli, mlp
 
 
 def run_cli(*args, env=None):
@@ -165,6 +165,23 @@ def test_train_divergence_exits_4(tmp_path, osc_csv):
     assert "epoch" in res.stderr
 
 
+def test_eval_non_finite_final_mse_exits_4_without_metrics(tmp_path, monkeypatch, capsys):
+    # finite parameters, but outputs of 1e200 overflow the squared error
+    init = mlp.init
+
+    def huge_output(layer_sizes, seed):
+        net = init(layer_sizes, seed)
+        net.biases[-1][:] = 1e200
+        return net
+
+    monkeypatch.setattr(mlp, "init", huge_output)
+    rc = cli.main(["eval", "--experiment", "example1", "--epochs", "0",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 4
+    assert "final" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["-1e-3", "nan", "inf"])
 def test_train_out_of_domain_row_exits_3(tmp_path, capsys, value):
     data = tmp_path / "bad.csv"
@@ -312,19 +329,27 @@ def test_eval_small_run_writes_artifacts(tmp_path):
 
 
 def test_eval_history_matches_generate_then_train(tmp_path):
-    seed = ["--seed", "3", "--epochs", "3"]
-    data, model, hist = tmp_path / "osc.csv", tmp_path / "m.json", tmp_path / "train.csv"
+    # --history only adds the per-epoch losses: every other artifact is the
+    # same bytes with and without it
+    seed = ["--seed", "3", "--epochs", "20"]
+    data, hist = tmp_path / "osc.csv", tmp_path / "train.csv"
+    model, plain_model = tmp_path / "m.json", tmp_path / "plain.json"
     assert cli.main(["generate", "--experiment", "example1", "--seed", "3",
                      "--out", str(data)]) == 0
     assert cli.main(["train", "--data", str(data), "--out-model", str(model),
                      "--history", str(hist), *seed]) == 0
+    assert cli.main(["train", "--data", str(data), "--out-model", str(plain_model),
+                     *seed]) == 0
+    assert model.read_bytes() == plain_model.read_bytes()
     plain, with_hist = tmp_path / "plain", tmp_path / "hist"
-    assert cli.main(["eval", "--experiment", "example1", "--out-dir", str(plain), *seed]) == 0
+    assert cli.main(["eval", "--experiment", "example1", "--out-dir", str(plain),
+                     "--plot", str(plain / "e1.svg"), *seed]) == 0
     assert cli.main(["eval", "--experiment", "example1", "--out-dir", str(with_hist),
+                     "--plot", str(with_hist / "e1.svg"),
                      "--history", str(with_hist / "history.csv"), *seed]) == 0
     assert (with_hist / "history.csv").read_bytes() == hist.read_bytes()
-    assert len(hist.read_text().splitlines()) == 4
-    for name in ("example1_curves.csv", "example1_metrics.txt"):
+    assert len(hist.read_text().splitlines()) == 21
+    for name in ("example1_curves.csv", "example1_metrics.txt", "e1.svg"):
         assert (with_hist / name).read_bytes() == (plain / name).read_bytes()
 
 

@@ -305,6 +305,32 @@ def test_train_nan_loss_reports_epoch():
         mlp.train(net, mlp.TrainSplit(x, y), cfg)
 
 
+@pytest.mark.parametrize("with_test", [True, False], ids=["test_split", "no_test_split"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_train_without_record_gives_the_same_bits(optimizer, with_test):
+    x = np.linspace(0.0, 1.0, 37)[:, None]
+    y = np.column_stack([np.sin(3.0 * x[:, 0]), np.cos(2.0 * x[:, 0])])
+    data = mlp.TrainSplit(x, y, x[::3], y[::3]) if with_test else mlp.TrainSplit(x, y)
+    cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=1e-2, batch_size=16,
+                          epochs=6, seed=2)
+    recorded, hist = mlp.train(mlp.init([1, 7, 5, 2], 4), data, cfg)
+    bare, empty = mlp.train(mlp.init([1, 7, 5, 2], 4), data, cfg, record=False)
+    assert len(hist.train_mse) == 6
+    assert np.array_equal(bare.theta, recorded.theta)
+    assert empty.train_mse == []
+    assert empty.test_mse == ([] if with_test else None)
+
+
+def test_train_without_record_reports_divergence_epoch():
+    x = np.array([[1.0], [2.0]])
+    y = np.array([[1.0], [0.0]])
+    net = mlp.init([1, 4, 1], 0)
+    cfg = mlp.TrainConfig(optimizer="sgd", learning_rate=1e6, batch_size=2,
+                          epochs=50, seed=0)
+    with pytest.raises(NanLoss, match="epoch"):
+        mlp.train(net, mlp.TrainSplit(x, y), cfg, record=False)
+
+
 def test_train_config_validation():
     with pytest.raises(InvalidParams):
         mlp.TrainConfig(optimizer="rmsprop")

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.signal import find_peaks
 
-from fem_surrogate.errors import ModelNotTrained
+from fem_surrogate.errors import ModelNotTrained, NanLoss
 from fem_surrogate import beam, dataset, mlp, surrogate
 from fem_surrogate import oscillator as osc
 
@@ -83,6 +83,23 @@ def test_no_leakage_from_test_targets():
     for wa, wb in zip(rep_a.model.net.weights, rep_b.model.net.weights):
         npt.assert_array_equal(wa, wb)
     assert rep_a.test_mse_scaled != rep_b.test_mse_scaled
+
+
+def test_fit_surrogate_rejects_non_finite_final_mse(monkeypatch):
+    # finite parameters whose outputs overflow the squared error
+    init = mlp.init
+
+    def huge_output(layer_sizes, seed):
+        net = init(layer_sizes, seed)
+        net.biases[-1][:] = 1e200
+        return net
+
+    monkeypatch.setattr(mlp, "init", huge_output)
+    grid = osc.FrequencyGrid.uniform(0.1, 10.0, 20)
+    cfg = mlp.TrainConfig(epochs=0, seed=1)
+    with pytest.raises(NanLoss, match="final"):
+        surrogate.fit_surrogate(grid.values, osc.sweep_oscillator(osc.DEFAULT_PARAMS, grid),
+                                [1, 4, 1], cfg, 1, 0.2, dataset.LOG10, record=False)
 
 
 def test_predict_roundtrip_and_extrapolation_flag(report1):
