@@ -7,6 +7,7 @@ machine-readable results; diagnostics go to stderr.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -107,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out-model", required=True)
     p.add_argument("--history", default=None, help="optional epoch,mse CSV path")
-    p.add_argument("--target-scale", choices=["linear_minmax", "log10"], default=None)
 
     p = sub.add_parser("predict", parents=[common, grid],
                        help="evaluate a saved model at one frequency or on a grid")
@@ -162,23 +162,41 @@ def _merge_config(args: argparse.Namespace, parser) -> argparse.Namespace:
 
 
 def _seed(args) -> int:
-    return 42 if args.seed is None else int(args.seed)
+    return surrogate.SPLIT_SEED if args.seed is None else int(args.seed)
 
 
-def _hidden_sizes(text) -> list[int] | None:
-    """Hidden layer sizes from '--hidden 100,100', or None when unset."""
-    if text is None:
-        return None
+def _test_fraction(args) -> float:
+    return surrogate.TEST_FRACTION if args.test_fraction is None else args.test_fraction
+
+
+def _layer_sizes(args, layers) -> list[int]:
+    """layers, with the sizes from '--hidden 100,100' in place of its hidden
+    layers when given."""
+    if args.hidden is None:
+        return list(layers)
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        hidden = [int(s) for s in args.hidden.split(",") if s.strip()]
     except ValueError:
-        raise ConfigError(f"--hidden must be comma-separated integers, got {text!r}") from None
+        raise ConfigError(
+            f"--hidden must be comma-separated integers, got {args.hidden!r}") from None
+    return [layers[0]] + hidden + [layers[-1]]
+
+
+def _train_config(args, experiment, seed) -> mlp.TrainConfig:
+    """The experiment's training recipe, with --optimizer, --lr,
+    --batch-size and --epochs in place of its values when given."""
+    given = {"optimizer": args.optimizer, "learning_rate": args.lr,
+             "batch_size": args.batch_size, "epochs": args.epochs}
+    cfg = mlp.TrainConfig(epochs=surrogate.EXPERIMENTS[experiment]["epochs"], seed=seed)
+    return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
 def _check_out_path(path) -> None:
     """Output paths are validated before any computation starts."""
     if path is None:
         return
+    if path == "":
+        raise ConfigError("output path must not be empty")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise ConfigError(f"output directory does not exist: {parent}")
@@ -265,25 +283,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "example1": (surrogate.EXAMPLE1_LAYERS, surrogate.example1_train_config,
-                 dataset.LOG10),
-    "example2": (surrogate.EXAMPLE2_LAYERS, surrogate.example2_train_config,
-                 dataset.LOG10),
-}
-
-
-def _train_config_from(args, make_default, seed) -> mlp.TrainConfig:
-    base = make_default(seed)
-    return mlp.TrainConfig(
-        optimizer=base.optimizer if args.optimizer is None else args.optimizer,
-        learning_rate=base.learning_rate if args.lr is None else args.lr,
-        batch_size=base.batch_size if args.batch_size is None else args.batch_size,
-        epochs=base.epochs if args.epochs is None else args.epochs,
-        seed=seed,
-    )
-
-
 def _write_history(path, h: mlp.TrainHistory) -> None:
     """epoch,train_mse,test_mse per epoch; every pipeline holds out a test
     split, so test_mse is always there."""
@@ -299,24 +298,13 @@ def cmd_train(args) -> int:
         raise DataError(f"{args.data} holds no samples")
     k = outputs.shape[1]
     experiment = args.experiment or ("example1" if k == 1 else "example2")
-    layers, make_cfg, target_scheme = _TRAIN_DEFAULTS[experiment]
-    hidden = _hidden_sizes(args.hidden)
-    layers = [1] + (layers[1:-1] if hidden is None else hidden) + [k]
-    if args.target_scale is not None:
-        target_scheme = args.target_scale
-
+    layers = _layer_sizes(args, surrogate.EXPERIMENTS[experiment]["layers"][:-1] + [k])
     seed = _seed(args)
-    cfg = _train_config_from(args, make_cfg, seed)
-    test_fraction = 0.2 if args.test_fraction is None else args.test_fraction
-    fit = surrogate.fit_surrogate(freqs, outputs, layers, cfg, seed, test_fraction,
-                                  target_scheme, record=args.history is not None)
-
-    # The input scaler is min-max over the train split: its ends are the
-    # trained frequency range.
+    fit = surrogate.fit_surrogate(experiment, freqs, outputs, layers,
+                                  _train_config(args, experiment, seed), seed,
+                                  _test_fraction(args), record=args.history is not None)
     m = fit.model
-    meta = {"experiment": experiment, "freq_min_hz": float(m.input_scaler.col_min[0]),
-            "freq_max_hz": float(m.input_scaler.col_max[0]), "seed": seed}
-    mlp.save_model(m.net, m.input_scaler, m.target_scaler, args.out_model, meta=meta)
+    mlp.save_model(m.net, m.input_scaler, m.target_scaler, args.out_model, meta=m.meta)
 
     if args.history:
         _write_history(args.history, fit.history)
@@ -364,26 +352,18 @@ def cmd_eval(args) -> int:
     _check_out_path(args.plot)
     _check_out_path(args.history)
     seed = _seed(args)
-    test_fraction = 0.2 if args.test_fraction is None else args.test_fraction
-    hidden = _hidden_sizes(args.hidden)
-    k = 1 if args.experiment == "example1" else 3
-    layers = None if hidden is None else [1] + hidden + [k]
-    record = args.history is not None  # per-epoch losses only for the history CSV
-
+    run = {"train_config": _train_config(args, args.experiment, seed), "split_seed": seed,
+           "layer_sizes": _layer_sizes(args, surrogate.EXPERIMENTS[args.experiment]["layers"]),
+           "test_fraction": _test_fraction(args),
+           "record": args.history is not None}  # per-epoch losses only for the history CSV
     if args.experiment == "example1":
-        cfg = _train_config_from(args, surrogate.example1_train_config, seed)
         report = surrogate.run_example1(
-            osc=_osc_params(args), grid=_grid_or(args, osc_mod.DEFAULT_GRID),
-            train_config=cfg, split_seed=seed, layer_sizes=layers,
-            test_fraction=test_fraction, record=record)
+            osc=_osc_params(args), grid=_grid_or(args, osc_mod.DEFAULT_GRID), **run)
     else:
         spec = _beam_spec(args)
-        cfg = _train_config_from(args, surrogate.example2_train_config, seed)
         report = surrogate.run_example2(
             spec=spec, grid=_grid_or(args, beam_mod.DEFAULT_GRID),
-            damping=_damping_or_default(args, spec),
-            train_config=cfg, split_seed=seed, layer_sizes=layers,
-            test_fraction=test_fraction, record=record)
+            damping=_damping_or_default(args, spec), **run)
 
     curves = os.path.join(args.out_dir, f"{args.experiment}_curves.csv")
     metrics = os.path.join(args.out_dir, f"{args.experiment}_metrics.txt")

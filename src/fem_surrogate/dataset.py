@@ -149,12 +149,14 @@ def scale_invert(scaler: Scaler, scaled) -> np.ndarray:
 
 # --- CSV persistence ---------------------------------------------------------
 
-def _header_for(k: int) -> list[str]:
+def channel_names(k: int) -> list[str]:
+    """Names of k output channels: the oscillator amplitude, the beam's
+    per-axis maxima, or numbered outputs for any other count."""
     if k == 1:
-        return ["freq_hz", "amplitude"]
+        return ["amplitude"]
     if k == 3:
-        return ["freq_hz", "ux_max", "uy_max", "uz_max"]
-    return ["freq_hz"] + [f"out_{i + 1}" for i in range(k)]
+        return ["ux_max", "uy_max", "uz_max"]
+    return [f"out_{i + 1}" for i in range(k)]
 
 
 def write_rows(path, header, rows) -> None:
@@ -171,7 +173,8 @@ def write_rows(path, header, rows) -> None:
 def write_csv(path, freqs, outputs) -> None:
     """Write a sweep: freqs (n,) and outputs (n, k) in physical units."""
     outputs = np.asarray(outputs, dtype=float)
-    write_rows(path, _header_for(outputs.shape[1]), np.column_stack([freqs, outputs]))
+    write_rows(path, ["freq_hz"] + channel_names(outputs.shape[1]),
+               np.column_stack([freqs, outputs]))
 
 
 def read_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -98,6 +98,3 @@ class VersionMismatch(ModelFileError):
 class CorruptModel(ModelFileError):
     pass
 
-
-class ModelNotTrained(ModelFileError):
-    pass

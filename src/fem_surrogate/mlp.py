@@ -61,22 +61,22 @@ class Mlp:
     updates the layers.  The constructor copies the given arrays into a new
     theta."""
 
-    def __init__(self, layer_sizes, weights, biases, activation: str = "tanh"):
+    def __init__(self, layer_sizes, weights, biases):
         theta, found = _pack(weights, biases)
         if found != _shapes(layer_sizes):
             raise DimensionMismatch(
                 f"parameter shapes {found} do not fit layers {list(layer_sizes)}")
-        self._bind(layer_sizes, theta, activation)
+        self._bind(layer_sizes, theta)
 
     @classmethod
-    def _from_theta(cls, layer_sizes, theta: np.ndarray, activation: str = "tanh") -> "Mlp":
+    def _from_theta(cls, layer_sizes, theta: np.ndarray) -> "Mlp":
         """A net whose parameters are theta itself, not a copy."""
         net = cls.__new__(cls)
-        net._bind(layer_sizes, theta, activation)
+        net._bind(layer_sizes, theta)
         return net
 
-    def _bind(self, layer_sizes, theta: np.ndarray, activation: str) -> None:
-        self.layer_sizes, self.theta, self.activation = list(layer_sizes), theta, activation
+    def _bind(self, layer_sizes, theta: np.ndarray) -> None:
+        self.layer_sizes, self.theta = list(layer_sizes), theta
         self.weights, self.biases = _layers(theta, _shapes(self.layer_sizes))
 
     @property
@@ -84,7 +84,7 @@ class Mlp:
         return len(self.weights)
 
     def copy(self) -> "Mlp":
-        return Mlp._from_theta(self.layer_sizes, self.theta.copy(), self.activation)
+        return Mlp._from_theta(self.layer_sizes, self.theta.copy())
 
 
 class Gradients:
@@ -358,20 +358,20 @@ def grad_check(net: Mlp, x, targets, h: float = 1e-6) -> float:
 
 # --- model persistence -------------------------------------------------------
 
-def save_model(net: Mlp, input_scaler: Scaler | None, target_scaler: Scaler | None,
+def save_model(net: Mlp, input_scaler: Scaler, target_scaler: Scaler,
                path, meta: dict | None = None) -> None:
-    """Self-describing JSON document: version, layer sizes, activation,
-    row-major parameter arrays, and the bundled scalers so predictions are
-    self-contained."""
+    """Self-describing JSON document: version, layer sizes, activation
+    (always tanh), row-major parameter arrays, and the bundled scalers so
+    predictions are self-contained."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "fem-surrogate-mlp",
         "layer_sizes": list(net.layer_sizes),
-        "activation": net.activation,
+        "activation": "tanh",
         "weights": [w.reshape(-1).tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
-        "input_scaler": None if input_scaler is None else input_scaler.to_dict(),
-        "target_scaler": None if target_scaler is None else target_scaler.to_dict(),
+        "input_scaler": input_scaler.to_dict(),
+        "target_scaler": target_scaler.to_dict(),
         "meta": meta or {},
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -379,8 +379,9 @@ def save_model(net: Mlp, input_scaler: Scaler | None, target_scaler: Scaler | No
         fh.write("\n")
 
 
-def load_model(path) -> tuple[Mlp, Scaler | None, Scaler | None, dict]:
-    """Inverse of save_model; parameters round-trip bit for bit."""
+def load_model(path) -> tuple[Mlp, Scaler, Scaler, dict]:
+    """Inverse of save_model; parameters round-trip bit for bit.  A file
+    without both scalers is corrupt: a net alone predicts nothing physical."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -410,12 +411,10 @@ def load_model(path) -> tuple[Mlp, Scaler | None, Scaler | None, dict]:
         theta = np.concatenate(arrays)
         if not np.isfinite(theta).all():
             raise ValueError("weights and biases must be finite")
-        net = Mlp._from_theta(sizes, theta, doc["activation"])
-        in_sc = doc.get("input_scaler")
-        out_sc = doc.get("target_scaler")
-        return (net,
-                None if in_sc is None else Scaler.from_dict(in_sc),
-                None if out_sc is None else Scaler.from_dict(out_sc),
-                doc.get("meta", {}))
+        for key in ("input_scaler", "target_scaler"):
+            if not isinstance(doc[key], dict):
+                raise ValueError(f"{key} must be a scaler object, got {doc[key]!r}")
+        return (Mlp._from_theta(sizes, theta), Scaler.from_dict(doc["input_scaler"]),
+                Scaler.from_dict(doc["target_scaler"]), doc.get("meta", {}))
     except (KeyError, ValueError, TypeError) as exc:
         raise CorruptModel(f"malformed model file {path}: {exc}") from exc

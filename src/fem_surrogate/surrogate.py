@@ -19,42 +19,43 @@ import numpy as np
 from . import beam as beam_mod
 from . import dataset, mlp
 from . import oscillator as osc_mod
-from .errors import ModelNotTrained, NanLoss
+from .errors import NanLoss
 from .svgplot import plot_curves
 
 PEAK_PROMINENCE_FACTOR = 3.0  # prominent = prominence above 3x channel median
 
-EXAMPLE1_LAYERS = [1, 100, 100, 1]
-EXAMPLE2_LAYERS = [1, 200, 200, 3]
+# The two experiments: layer sizes, whose last entry is the output count,
+# and epochs.  Both train with mlp.TrainConfig's defaults (Adam, lr 1e-3,
+# batch 16): plain SGD plateaus at the curve mean on the sharp-resonance
+# target at any stable learning rate.
+EXPERIMENTS = {
+    "example1": {"layers": [1, 100, 100, 1], "epochs": 20000},
+    "example2": {"layers": [1, 200, 200, 3], "epochs": 10000},
+}
+EXAMPLE2_LAYERS = EXPERIMENTS["example2"]["layers"]
 
-
-# Plain SGD plateaus at the curve mean on the sharp-resonance target (any
-# stable learning rate), so both pipelines default to Adam.
-def example1_train_config(seed: int = 42) -> mlp.TrainConfig:
-    return mlp.TrainConfig(optimizer="adam", learning_rate=1e-3, batch_size=16,
-                           epochs=20000, seed=seed)
-
-
-def example2_train_config(seed: int = 42) -> mlp.TrainConfig:
-    return mlp.TrainConfig(optimizer="adam", learning_rate=1e-3, batch_size=16,
-                           epochs=10000, seed=seed)
+# Shared by both experiments: one seed for split, init and shuffling, the
+# held-out share, and the target scaling.
+SPLIT_SEED = 42
+TEST_FRACTION = 0.2
+TARGET_SCALING = dataset.LOG10
 
 
 @dataclass
 class SurrogateModel:
-    """Trained net plus the scalers that make its predictions physical."""
+    """Trained net plus the scalers that make its predictions physical.
+    meta names the experiment, the trained frequency range (the input
+    scaler's, so the extrapolation range of predict) and the split seed."""
 
-    net: mlp.Mlp | None
-    input_scaler: dataset.Scaler | None
-    target_scaler: dataset.Scaler | None
+    net: mlp.Mlp
+    input_scaler: dataset.Scaler
+    target_scaler: dataset.Scaler
     meta: dict = field(default_factory=dict)
 
 
 def predict(model: SurrogateModel, freq_hz: float) -> tuple[np.ndarray, bool]:
     """Physical-unit outputs at one frequency, plus an extrapolation flag
     set when the frequency lies outside the trained grid range."""
-    if model.net is None or model.input_scaler is None or model.target_scaler is None:
-        raise ModelNotTrained("model is missing a trained net or its scalers")
     out = predict_batch(model, np.array([freq_hz]))[0]
     extrapolated = False
     sc = model.input_scaler
@@ -64,8 +65,6 @@ def predict(model: SurrogateModel, freq_hz: float) -> tuple[np.ndarray, bool]:
 
 
 def predict_batch(model: SurrogateModel, freqs: np.ndarray) -> np.ndarray:
-    if model.net is None or model.input_scaler is None or model.target_scaler is None:
-        raise ModelNotTrained("model is missing a trained net or its scalers")
     x = dataset.scale_apply(model.input_scaler, np.asarray(freqs, dtype=float))
     y = mlp.forward(model.net, x)
     return dataset.scale_invert(model.target_scaler, y)
@@ -136,10 +135,8 @@ class ExperimentReport:
             fh.write("\n".join(lines) + "\n")
 
     def write_svg(self, path) -> None:
-        names = (["amplitude"] if self.n_channels == 1
-                 else ["ux_max", "uy_max", "uz_max"][: self.n_channels])
         plot_curves(path, self.freq_hz, self.true_outputs, self.pred_outputs,
-                    self.is_test, names,
+                    self.is_test, dataset.channel_names(self.n_channels),
                     title=f"{self.experiment}: surrogate vs solver")
 
 
@@ -197,8 +194,8 @@ def _metrics_test_rmse(true_out, pred_out, is_test) -> np.ndarray:
 
 @dataclass
 class Fit:
-    """A trained surrogate (meta left to the caller), its loss history, the
-    held-out sample indices, and the final scaled-space MSEs."""
+    """A trained surrogate, its loss history, the held-out sample indices,
+    and the final scaled-space MSEs."""
 
     model: SurrogateModel
     history: mlp.TrainHistory
@@ -207,9 +204,8 @@ class Fit:
     test_mse_scaled: float
 
 
-def fit_surrogate(freqs, outputs, layer_sizes, train_config: mlp.TrainConfig,
-                  split_seed: int, test_fraction: float, target_scheme: str,
-                  record: bool = True) -> Fit:
+def fit_surrogate(experiment: str, freqs, outputs, layer_sizes, train_config: mlp.TrainConfig,
+                  split_seed: int, test_fraction: float, record: bool = True) -> Fit:
     """Split -> fit both scalers on the train part only -> init and train
     the net -> final train/test MSE in scaled space.  record asks mlp.train
     for the per-epoch loss history; the model and the final MSEs do not
@@ -217,7 +213,7 @@ def fit_surrogate(freqs, outputs, layer_sizes, train_config: mlp.TrainConfig,
     train_idx, test_idx = dataset.split(len(freqs), test_fraction, split_seed)
     f_train, y_train = freqs[train_idx], outputs[train_idx]
     input_scaler = dataset.scale_fit(f_train, dataset.LINEAR_MINMAX)
-    target_scaler = dataset.scale_fit(y_train, target_scheme)
+    target_scaler = dataset.scale_fit(y_train, TARGET_SCALING)
     data = mlp.TrainSplit(
         x_train=dataset.scale_apply(input_scaler, f_train),
         y_train=dataset.scale_apply(target_scaler, y_train),
@@ -232,18 +228,26 @@ def fit_surrogate(freqs, outputs, layer_sizes, train_config: mlp.TrainConfig,
         test_mse = mlp.mse(mlp.forward(net, data.x_test), data.y_test)
     if not (np.isfinite(train_mse) and np.isfinite(test_mse)):
         raise NanLoss(f"final scaled MSE is not finite: train {train_mse}, test {test_mse}")
-    return Fit(SurrogateModel(net, input_scaler, target_scaler), history, test_idx,
+    # The input scaler is min-max over the train split: its ends are the
+    # trained frequency range.
+    meta = {"experiment": experiment, "freq_min_hz": float(input_scaler.col_min[0]),
+            "freq_max_hz": float(input_scaler.col_max[0]), "seed": split_seed}
+    return Fit(SurrogateModel(net, input_scaler, target_scaler, meta), history, test_idx,
                train_mse_scaled=train_mse, test_mse_scaled=test_mse)
 
 
 def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
-                  split_seed, test_fraction, target_scheme, config_echo, record=True):
-    fit = fit_surrogate(freqs, true_out, layer_sizes, train_config, split_seed,
-                        test_fraction, target_scheme, record)
-    model = fit.model
-    model.meta = {"experiment": experiment, "freq_min_hz": float(freqs[0]),
-                  "freq_max_hz": float(freqs[-1])}
-    pred_out = predict_batch(model, freqs)
+                  split_seed, test_fraction, setup_echo, record=True):
+    """Train on (freqs, true_out) and report against it.  None for
+    layer_sizes or train_config takes the experiment's own; setup_echo holds
+    the physical settings, which the metrics list after the experiment and
+    before the grid, split and training settings."""
+    layers = list(layer_sizes or EXPERIMENTS[experiment]["layers"])
+    cfg = train_config or mlp.TrainConfig(epochs=EXPERIMENTS[experiment]["epochs"],
+                                          seed=SPLIT_SEED)
+    fit = fit_surrogate(experiment, freqs, true_out, layers, cfg, split_seed,
+                        test_fraction, record)
+    pred_out = predict_batch(fit.model, freqs)
     is_test = np.zeros(len(freqs), dtype=bool)
     is_test[fit.test_idx] = True
     rel_rmse = _metrics_test_rmse(true_out, pred_out, is_test)
@@ -268,7 +272,16 @@ def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
 
     return ExperimentReport(
         experiment=experiment,
-        config=config_echo,
+        config={
+            "experiment": experiment, **setup_echo,
+            "grid_start_hz": float(freqs[0]), "grid_stop_hz": float(freqs[-1]),
+            "grid_points": len(freqs),
+            "test_fraction": test_fraction, "split_seed": split_seed,
+            "architecture": layers,
+            "optimizer": cfg.optimizer, "learning_rate": cfg.learning_rate,
+            "batch_size": cfg.batch_size, "epochs": cfg.epochs, "train_seed": cfg.seed,
+            "input_scaling": dataset.LINEAR_MINMAX, "target_scaling": TARGET_SCALING,
+        },
         freq_hz=freqs,
         true_outputs=true_out,
         pred_outputs=pred_out,
@@ -280,7 +293,7 @@ def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
         true_peaks=true_idx,
         pred_peaks=pred_idx,
         peak_match=match,
-        model=model,
+        model=fit.model,
         history=fit.history,
     )
 
@@ -288,54 +301,35 @@ def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
 def run_example1(osc: osc_mod.OscillatorParams | None = None,
                  grid: osc_mod.FrequencyGrid | None = None,
                  train_config: mlp.TrainConfig | None = None,
-                 split_seed: int = 42,
+                 split_seed: int = SPLIT_SEED,
                  layer_sizes=None,
-                 test_fraction: float = 0.2,
+                 test_fraction: float = TEST_FRACTION,
                  record: bool = True) -> ExperimentReport:
     """Oscillator pipeline: analytic sweep -> split -> scale -> train a
     1-100-100-1 net -> report.  record as in fit_surrogate."""
     osc = osc or osc_mod.DEFAULT_PARAMS
     grid = grid or osc_mod.default_grid()
-    cfg = train_config or example1_train_config()
-    layers = list(layer_sizes) if layer_sizes else EXAMPLE1_LAYERS
-
-    outputs = osc_mod.sweep_oscillator(osc, grid)
-    echo = {
-        "experiment": "example1",
-        "mass": osc.mass, "damping": osc.damping,
-        "stiffness": osc.stiffness, "force_amplitude": osc.force_amplitude,
-        "grid_start_hz": float(grid.values[0]), "grid_stop_hz": float(grid.values[-1]),
-        "grid_points": len(grid),
-        "test_fraction": test_fraction, "split_seed": split_seed,
-        "architecture": layers,
-        "optimizer": cfg.optimizer, "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size, "epochs": cfg.epochs, "train_seed": cfg.seed,
-        "input_scaling": dataset.LINEAR_MINMAX, "target_scaling": dataset.LOG10,
-    }
-    return _run_pipeline("example1", grid.values, outputs, layers, cfg, split_seed,
-                         test_fraction, dataset.LOG10, echo, record)
+    echo = {"mass": osc.mass, "damping": osc.damping,
+            "stiffness": osc.stiffness, "force_amplitude": osc.force_amplitude}
+    return _run_pipeline("example1", grid.values, osc_mod.sweep_oscillator(osc, grid),
+                         layer_sizes, train_config, split_seed, test_fraction, echo, record)
 
 
 def run_example2(spec: beam_mod.BeamSpec | None = None,
                  grid: osc_mod.FrequencyGrid | None = None,
                  damping: tuple[float, float] | None = None,
                  train_config: mlp.TrainConfig | None = None,
-                 split_seed: int = 42,
+                 split_seed: int = SPLIT_SEED,
                  layer_sizes=None,
-                 test_fraction: float = 0.2,
+                 test_fraction: float = TEST_FRACTION,
                  record: bool = True) -> ExperimentReport:
     """Beam pipeline: FEM frequency sweep -> split -> log10-scaled targets ->
     Adam-trained 1-200-200-3 net -> report.  record as in fit_surrogate."""
     spec = spec or beam_mod.default_spec()
     grid = grid or beam_mod.default_grid()
-    cfg = train_config or example2_train_config()
-    layers = list(layer_sizes) if layer_sizes else EXAMPLE2_LAYERS
     if damping is None:
         damping = beam_mod.default_damping(spec)
-
-    outputs = beam_mod.frequency_sweep(spec, grid, damping)
     echo = {
-        "experiment": "example2",
         "length": spec.length,
         "width": spec.section.width, "height": spec.section.height,
         "youngs_modulus": spec.material.youngs_modulus,
@@ -345,13 +339,6 @@ def run_example2(spec: beam_mod.BeamSpec | None = None,
         "axis_direction": [float(v) for v in spec.axis_direction],
         "tip_load": [float(v) for v in spec.tip_load],
         "alpha": damping[0], "beta": damping[1],
-        "grid_start_hz": float(grid.values[0]), "grid_stop_hz": float(grid.values[-1]),
-        "grid_points": len(grid),
-        "test_fraction": test_fraction, "split_seed": split_seed,
-        "architecture": layers,
-        "optimizer": cfg.optimizer, "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size, "epochs": cfg.epochs, "train_seed": cfg.seed,
-        "input_scaling": dataset.LINEAR_MINMAX, "target_scaling": dataset.LOG10,
     }
-    return _run_pipeline("example2", grid.values, outputs, layers, cfg, split_seed,
-                         test_fraction, dataset.LOG10, echo, record)
+    return _run_pipeline("example2", grid.values, beam_mod.frequency_sweep(spec, grid, damping),
+                         layer_sizes, train_config, split_seed, test_fraction, echo, record)

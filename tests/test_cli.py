@@ -6,7 +6,8 @@ import sys
 import pytest
 import scipy.linalg
 
-from fem_surrogate import beam, cli, mlp
+from fem_surrogate import beam, cli, mlp, surrogate
+from fem_surrogate import oscillator as osc
 
 
 def run_cli(*args, env=None):
@@ -119,6 +120,31 @@ def test_generate_unwritable_out_path_exits_2_before_solving(tmp_path):
     assert "output directory" in res.stderr
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--out"), ("train", "--out-model"), ("train", "--history"),
+    ("predict", "--out"), ("eval", "--plot"), ("eval", "--history"),
+])
+def test_empty_out_path_exits_2_before_work(tmp_path, capsys, monkeypatch, osc_csv,
+                                            beam_model, command, flag):
+    # an empty path used to be skipped (eval), or to fail only after the work
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(osc, "sweep_oscillator", no_work)
+    monkeypatch.setattr(mlp, "train", no_work)
+    monkeypatch.setattr(surrogate, "predict_batch", no_work)
+    argv = {
+        "generate": ["generate", "--experiment", "example1", "--out", str(tmp_path / "x.csv")],
+        "train": ["train", "--data", str(osc_csv), "--out-model", str(tmp_path / "m.json")],
+        "predict": ["predict", "--model", str(beam_model), "--grid-points", "5",
+                    "--out", str(tmp_path / "c.csv")],
+        "eval": ["eval", "--experiment", "example1", "--out-dir", str(tmp_path)],
+    }[command]
+    assert cli.main(argv + [flag, ""]) == 2
+    assert "output path must not be empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- train -------------------------------------------------------------------
 
 def test_train_writes_model_and_history(tmp_path, osc_csv):
@@ -202,6 +228,22 @@ def test_hidden_non_integer_exits_2(tmp_path, osc_csv, command):
     assert "--hidden" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_train_meta_matches_pipeline_meta(tmp_path):
+    # train and eval describe a model the same way: experiment, the input
+    # scaler's range (seed 7 holds out the first grid point) and the seed
+    grid = ["--grid-start", "0.5", "--grid-stop", "8", "--grid-points", "50"]
+    data, model = tmp_path / "osc.csv", tmp_path / "m.json"
+    assert cli.main(["generate", "--experiment", "example1", "--out", str(data), *grid]) == 0
+    assert cli.main(["train", "--data", str(data), "--out-model", str(model),
+                     "--hidden", "6", "--epochs", "3", "--seed", "7"]) == 0
+    report = surrogate.run_example1(
+        grid=osc.FrequencyGrid.uniform(0.5, 8.0, 50),
+        train_config=mlp.TrainConfig(epochs=3, seed=7), split_seed=7, layer_sizes=[1, 6, 1])
+    meta = json.loads(model.read_text())["meta"]
+    assert meta == report.model.meta
+    assert meta["freq_min_hz"] > 0.5
+
+
 @pytest.mark.slow
 def test_train_example1_defaults_reaches_spec_loss(tmp_path, osc_csv):
     res = run_cli("train", "--data", str(osc_csv),
@@ -268,6 +310,10 @@ def _corrupt(doc, case):
     elif case.startswith("extra_"):
         key = case.removeprefix("extra_")
         doc[key].append(doc[key][-1])
+    elif case == "null_input_scaler":
+        doc["input_scaler"] = None
+    elif case == "no_target_scaler":
+        del doc["target_scaler"]
     elif case == "nan_weight":
         doc["weights"][1][0] = math.nan
     elif case == "inf_bias":
@@ -288,7 +334,9 @@ def _corrupt(doc, case):
 
 
 @pytest.mark.parametrize("case", ["short_bias", "nested_bias", "nested_weights",
-                                  "extra_weights", "extra_biases", "relu", "nan_weight", "inf_bias", "inf_col_max", "nan_col_min",
+                                  "extra_weights", "extra_biases", "relu",
+                                  "null_input_scaler", "no_target_scaler",
+                                  "nan_weight", "inf_bias", "inf_col_max", "nan_col_min",
                                   "inverted_bounds", "nan_floor", "inf_floor",
                                   "negative_floor"])
 def test_predict_malformed_model_exits_5(tmp_path, capsys, beam_model, case):

@@ -1,4 +1,5 @@
-"""Smoke test: the seconds-scale demo scripts run and write readable sweeps."""
+"""Smoke test: the demo scripts run; the seconds-scale ones write readable
+sweeps, the slow training walkthroughs a full report."""
 
 import pathlib
 import runpy
@@ -31,3 +32,24 @@ def test_demo_runs_and_writes_its_sweep(tmp_path, monkeypatch, capsys, demo):
     freqs, outputs = dataset.read_csv(path)
     assert freqs.shape == (n_rows,) and outputs.shape == (n_rows, header.count(","))
     assert np.all(freqs > 0.0) and np.all(outputs > 0.0)
+
+
+# training demo -> (prefix of the report it writes, experiment, channel count)
+TRAINING_CASES = {
+    "train_oscillator_surrogate": ("oscillator_surrogate", "example1", 1),
+    "train_beam_surrogate": ("beam_surrogate", "example2", 3),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("demo", sorted(TRAINING_CASES))
+def test_training_demo_writes_its_report(tmp_path, monkeypatch, capsys, demo):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
+    assert capsys.readouterr().out
+    prefix, experiment, k = TRAINING_CASES[demo]
+    metrics = (tmp_path / f"{prefix}_metrics.txt").read_text()
+    assert f"experiment={experiment}" in metrics.splitlines()
+    header = (tmp_path / f"{prefix}_curves.csv").read_text().splitlines()[0]
+    assert header.count("pred_") == k
+    assert (tmp_path / f"{prefix}.svg").read_text().count("<polyline") == 2 * k

@@ -512,10 +512,15 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert in2.scheme == dataset.LINEAR_MINMAX and out2.scheme == dataset.LOG10
 
 
+def _save_small_model(path):
+    in_sc = dataset.scale_fit(np.array([1.0, 9.0]), dataset.LINEAR_MINMAX)
+    out_sc = dataset.scale_fit(np.array([1e-5, 2e-4]), dataset.LOG10)
+    mlp.save_model(mlp.init([1, 2, 1], 0), in_sc, out_sc, path)
+
+
 def test_load_rejects_wrong_version(tmp_path):
-    net = mlp.init([1, 2, 1], 0)
     path = tmp_path / "model.json"
-    mlp.save_model(net, None, None, path)
+    _save_small_model(path)
     doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
     path.write_text(doc)
     with pytest.raises(VersionMismatch):
@@ -523,9 +528,8 @@ def test_load_rejects_wrong_version(tmp_path):
 
 
 def test_load_rejects_truncated_file(tmp_path):
-    net = mlp.init([1, 2, 1], 0)
     path = tmp_path / "model.json"
-    mlp.save_model(net, None, None, path)
+    _save_small_model(path)
     path.write_text(path.read_text()[: len(path.read_text()) // 2])
     with pytest.raises(CorruptModel):
         mlp.load_model(path)

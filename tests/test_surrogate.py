@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.signal import find_peaks
 
-from fem_surrogate.errors import ModelNotTrained, NanLoss
+from fem_surrogate.errors import NanLoss
 from fem_surrogate import beam, dataset, mlp, surrogate
 from fem_surrogate import oscillator as osc
 
@@ -75,9 +75,9 @@ def test_no_leakage_from_test_targets():
     train_cfg = mlp.TrainConfig(optimizer="adam", learning_rate=1e-3,
                                 batch_size=8, epochs=40, seed=5)
     rep_a = surrogate._run_pipeline("example1", grid.values, outputs, [1, 8, 1],
-                                    train_cfg, split_seed, 0.2, dataset.LOG10, {})
+                                    train_cfg, split_seed, 0.2, {})
     rep_b = surrogate._run_pipeline("example1", grid.values, perturbed, [1, 8, 1],
-                                    train_cfg, split_seed, 0.2, dataset.LOG10, {})
+                                    train_cfg, split_seed, 0.2, {})
     # scaler parameters and trained weights depend on the train partition only
     assert rep_a.model.target_scaler.to_dict() == rep_b.model.target_scaler.to_dict()
     for wa, wb in zip(rep_a.model.net.weights, rep_b.model.net.weights):
@@ -98,8 +98,9 @@ def test_fit_surrogate_rejects_non_finite_final_mse(monkeypatch):
     grid = osc.FrequencyGrid.uniform(0.1, 10.0, 20)
     cfg = mlp.TrainConfig(epochs=0, seed=1)
     with pytest.raises(NanLoss, match="final"):
-        surrogate.fit_surrogate(grid.values, osc.sweep_oscillator(osc.DEFAULT_PARAMS, grid),
-                                [1, 4, 1], cfg, 1, 0.2, dataset.LOG10, record=False)
+        surrogate.fit_surrogate("example1", grid.values,
+                                osc.sweep_oscillator(osc.DEFAULT_PARAMS, grid),
+                                [1, 4, 1], cfg, 1, 0.2, record=False)
 
 
 def test_predict_roundtrip_and_extrapolation_flag(report1):
@@ -126,9 +127,18 @@ def test_predict_at_training_point_close_to_target(report1):
     assert abs(out[0] - rep.true_outputs[i, 0]) <= max(resid.max() * 1.5, 1e-12)
 
 
-def test_predict_requires_trained_model():
-    with pytest.raises(ModelNotTrained):
-        surrogate.predict(surrogate.SurrogateModel(None, None, None), 1.0)
+def test_meta_range_is_the_extrapolation_range():
+    # split seed 7 holds out the first of the 50 grid points, so the trained
+    # range starts at the second
+    _, test_idx = dataset.split(50, 0.2, 7)
+    assert test_idx[0] == 0
+    rep = small_example1(seed=7, epochs=5)
+    meta, sc = rep.model.meta, rep.model.input_scaler
+    assert (meta["freq_min_hz"], meta["freq_max_hz"]) == (sc.col_min[0], sc.col_max[0])
+    assert meta["freq_min_hz"] == rep.freq_hz[1]
+    for f in (meta["freq_min_hz"], meta["freq_max_hz"]):
+        assert not surrogate.predict(rep.model, f)[1]
+    assert surrogate.predict(rep.model, float(rep.freq_hz[0]))[1]
 
 
 def test_model_file_round_trip_preserves_predictions(tmp_path, report1):
