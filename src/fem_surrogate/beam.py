@@ -92,11 +92,11 @@ class CrossSection:
 _BATCH = 32
 # Memory budget for the arrays that grow with the mesh.  The model holds 12
 # doubles per DOF and matrix; the peak is one sweep batch, where the complex
-# dynamic matrices live on with the elimination's working copy and
-# multipliers, then with the multipliers and the solve's transposed copy of
-# them.  Four complex arrays of _BATCH x 12 entries per DOF bound that with
-# room for the small ones (a 400-point sweep traces 20.3 kB per DOF against
-# the 24.6 here, the mode finder's real batches 5.2 kB).
+# dynamic matrices live on with the elimination's working copy, which also
+# holds the multipliers, and the solves' right-hand sides and solutions.
+# Four complex arrays of _BATCH x 12 entries per DOF bound that with room to
+# spare (a 400-point sweep traces 16.9 kB per DOF against the 24.6 here,
+# the mode finder's real batches 5.4 kB).
 MEMORY_BUDGET = 1 << 30  # bytes
 _BYTES_PER_DOF = 4 * 16 * _BATCH * 12
 
@@ -507,9 +507,12 @@ def _negative_pivots(bands, shifts: np.ndarray) -> np.ndarray:
     return np.concatenate(counts)
 
 
-def natural_frequencies(spec: BeamSpec, f_max: float) -> list[float]:
+def natural_frequencies(spec: BeamSpec, f_max: float, n_roots: int | None = None,
+                        ) -> list[float]:
     """Undamped natural frequencies in (0, f_max), ascending; a repeated root
-    is returned once per multiplicity.
+    is returned once per multiplicity.  With n_roots, only the lowest
+    n_roots of them (fewer when fewer lie below f_max) are refined and
+    returned, each bit-equal to its value in the full list.
 
     The number of negative pivots of the LDL^T elimination of K - w^2 M is
     the number of natural frequencies below f (Sylvester's law of inertia;
@@ -518,17 +521,23 @@ def natural_frequencies(spec: BeamSpec, f_max: float) -> list[float]:
     (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987): every round
     counts at _SHIFTS evenly spaced shifts inside every open bracket, at
     most _BATCH shifts per elimination, until each bracket is within a
-    relative 1e-6.  A zero pivot at a probed f raises Singular.
+    relative 1e-6.  A zero pivot at a probed f raises Singular.  Once the
+    brackets separate, a root's probes stay inside its own bracket, and a
+    member's pivots do not depend on the rest of its batch, so leaving the
+    higher brackets closed changes none of the lower roots.
     """
     if not f_max > 0.0:
         raise InvalidSpec(f"f_max must be > 0, got {f_max}")
+    if n_roots is not None and n_roots < 1:
+        raise InvalidSpec(f"n_roots must be >= 1, got {n_roots}")
     _, red = reduced_system(spec)
     bands = (red.kb, red.mb, None)
     counts = {0.0: 0}  # K is positive definite
 
     def brackets():
+        wanted = counts[f_max] if n_roots is None else min(n_roots, counts[f_max])
         return zip(*_brackets(np.array(list(counts)), np.array(list(counts.values())),
-                              counts[f_max]))
+                              wanted))
 
     steps = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
     shifts = np.linspace(0.0, f_max, _SHIFTS + 2)[1:]  # f_max itself, first round only
@@ -563,7 +572,7 @@ def default_damping(spec: BeamSpec, target_zeta: float = 0.01,
     target damping ratio: beta = 2*zeta/(2*pi*f1), alpha = 0."""
     f_hi = f_max
     for _ in range(4):
-        freqs = natural_frequencies(spec, f_hi)
+        freqs = natural_frequencies(spec, f_hi, n_roots=1)
         if freqs:
             return 0.0, 2.0 * target_zeta / (2.0 * math.pi * freqs[0])
         f_hi *= 4.0

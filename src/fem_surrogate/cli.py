@@ -191,13 +191,17 @@ def _train_config(args, experiment, seed) -> mlp.TrainConfig:
     return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
-def _check_out_path(path) -> None:
-    """Output paths are validated before any computation starts."""
+def _check_out_path(path, new_dir=None) -> None:
+    """Output paths are validated before any computation starts.  new_dir
+    is a directory the command creates before writing, so a path directly
+    inside it may name a parent that does not exist yet."""
     if path is None:
         return
     if path == "":
         raise ConfigError("output path must not be empty")
     parent = os.path.dirname(os.path.abspath(path))
+    if new_dir is not None and parent == os.path.abspath(new_dir) and not os.path.exists(parent):
+        return
     if not os.path.isdir(parent):
         raise ConfigError(f"output directory does not exist: {parent}")
     if not os.access(parent, os.W_OK):
@@ -320,6 +324,9 @@ def cmd_predict(args) -> int:
     grid_flags = [args.grid_start, args.grid_stop, args.grid_points]
     if args.freq is not None and any(v is not None for v in grid_flags):
         raise ConfigError("--freq conflicts with --grid-* flags; pick one mode")
+    if args.freq is not None and args.out is not None:
+        raise ConfigError("--freq conflicts with --out: --freq prints to stdout, "
+                          "--out is for grid mode")
     if args.freq is None and all(v is None for v in grid_flags):
         raise ConfigError("predict needs --freq or a --grid-start/stop/points range")
 
@@ -348,9 +355,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out_dir == "":
+        raise ConfigError("output directory must not be empty")
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise ConfigError(f"output directory is not a directory: {args.out_dir}")
+    _check_out_path(args.plot, args.out_dir)
+    _check_out_path(args.history, args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
-    _check_out_path(args.plot)
-    _check_out_path(args.history)
     seed = _seed(args)
     run = {"train_config": _train_config(args, args.experiment, seed), "split_seed": seed,
            "layer_sizes": _layer_sizes(args, surrogate.EXPERIMENTS[args.experiment]["layers"]),

@@ -8,9 +8,14 @@ A symmetric matrix with b diagonals above the main one (A[i, j] == 0 for
 |i - j| > b) travels in upper band storage, ab[..., i, j] = A[i, i + j]
 for j = 0..b, shape (..., n, b+1), as in LAPACK's xPBTRF; only that
 triangle is read.  Elimination step k touches only rows k..k+b of the
-storage, a (b+1) x (b+1) window that slides down one row per step.  Every
-operation is elementwise over the batch axis, so each member's result is
-bit-equal to its solve in a one-member batch.
+storage, a (b+1) x (b+1) window that slides down one row per step.  The
+kernels work in step-major storage, (n + 2b, batch, b+1) with b zero rows
+on either side, so that each step reads and writes one contiguous block
+for the whole batch; the elimination leaves step k's multipliers in row
+k's off-diagonal entries, which no later step reads, so the factors take
+no storage beyond the working copy.  Every operation is elementwise over
+the batch axis, so each member's result is bit-equal to its solve in a
+one-member batch.
 
 Why no pivoting: the dynamic matrix D = K - w^2 M + i w C with Rayleigh
 damping has a positive definite imaginary part w C for w > 0, every Schur
@@ -22,7 +27,7 @@ Hermitian) complex matrices are factored natively, with A = L D L^T.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DimensionMismatch
 
@@ -34,25 +39,38 @@ _PIVOT_TOL = 1e-13
 class LdltFactors:
     """A_s = L_s D_s L_s^T for each member s of a batch of n x n matrices.
 
-    ``d[s, k]`` is the pivot D[k, k]; ``l[s, k, t] = L[k + 1 + t, k]``, the
-    multiple of row k subtracted from row k+1+t (zero past n).  ``tol[s]``
-    is the member's pivot tolerance and ``bad[s]`` its first pivot below
-    it, -1 when there is none; a bad member's factors are meaningless, the
-    other members' are unaffected.
+    The factors live in the elimination's step-major working storage,
+    ``packed`` (b + n + b, batch, b+1): row b + k holds step k, its column 0
+    the pivot D[k, k] and its columns 1..b the multipliers L[k+1..k+b, k],
+    written over the entries of A that step k was the last to read; the b
+    zero rows on either side are margins that let the first and last steps
+    run unchanged.  ``d[s, k]`` is the pivot D[k, k] and ``l[s, k, t] =
+    L[k + 1 + t, k]``, the multiple of row k subtracted from row k+1+t (zero
+    past n), both batch-major views of ``packed``.  ``tol[s]`` is the
+    member's pivot tolerance and ``bad[s]`` its first pivot below it, -1
+    when there is none; a bad member's factors are meaningless, the other
+    members' are unaffected.
     """
 
-    l: np.ndarray
-    d: np.ndarray
+    packed: np.ndarray
     tol: np.ndarray
     bad: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.d.shape[1]
+    def b(self) -> int:
+        return self.packed.shape[2] - 1
 
     @property
-    def b(self) -> int:
-        return self.l.shape[2]
+    def n(self) -> int:
+        return self.packed.shape[0] - 2 * self.b
+
+    @property
+    def d(self) -> np.ndarray:
+        return self.packed[self.b:self.b + self.n, :, 0].T
+
+    @property
+    def l(self) -> np.ndarray:
+        return self.packed[self.b:self.b + self.n, :, 1:].transpose(1, 0, 2)
 
     def failure(self, s: int) -> str | None:
         """Why member s is singular, or None when it is not."""
@@ -79,6 +97,11 @@ def band_to_dense(ab) -> np.ndarray:
     return a
 
 
+def _row_windows(a: np.ndarray, b: int) -> np.ndarray:
+    """windows[k] = a[k:k + b] for every k, as views that write through."""
+    return np.moveaxis(sliding_window_view(a, b, axis=0, writeable=True), -1, 1)
+
+
 def band_ldlt(ab) -> LdltFactors:
     """Unpivoted LDL^T of a batch of symmetric band matrices in upper band
     storage (batch, n, b+1); entries past the matrix's edge are ignored.
@@ -96,32 +119,37 @@ def band_ldlt(ab) -> LdltFactors:
     batch, n, width = ab.shape
     b = width - 1
     dtype = complex if np.iscomplexobj(ab) else float
-    # rows k..k+b of work hold the window of the Schur complement at step k;
-    # the b zero rows past n let the last steps run unchanged
-    work = np.zeros((batch, n + b, width), dtype)
-    work[:, :n] = ab
-    work[:, :n][:, np.arange(n)[:, None] + np.arange(width) >= n] = 0.0
-    big = np.abs(work).max(axis=(1, 2), initial=0.0)
-    l = np.empty((batch, n, b), dtype)
+    # step-major: rows b+k..b+k+b of work hold the window of the Schur
+    # complement at step k, one contiguous block
+    work = np.zeros((b + n + b, batch, width), dtype)
+    rows = work[b:b + n]
+    rows[...] = ab.transpose(1, 0, 2)
+    np.moveaxis(rows, 1, 0)[:, np.arange(n)[:, None] + np.arange(width) >= n] = 0.0
+    # reducing the step axis first keeps the inner loops long
+    big = np.abs(rows).max(axis=0, initial=0.0).max(axis=1, initial=0.0)
     # the step's multipliers, then zeros for the columns past the band:
-    # skew[s, i, t] = pad[s, i + t]
+    # skew[i, s, t] = pad[s, i + t]
     pad = np.zeros((batch, 2 * b + 1), dtype)
-    skew = sliding_window_view(pad, width, axis=1)[:, :b]
-    update = np.empty((batch, b, width), dtype)
+    mult = pad[:, :b]
+    skew = sliding_window_view(pad, width, axis=1)[:, :b].transpose(1, 0, 2)
+    update = np.empty((b, batch, width), dtype)
+    # per-step views, made once: row k's pivots and off-diagonals, the
+    # off-diagonals as a column, and rows k+1..k+b
+    pivot, off = work[:, :, :1], work[:, :, 1:]
+    column = off.transpose(0, 2, 1)[..., None]
+    below = _row_windows(work, b)[1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(n if b else 0):
-            row = work[:, k]
-            np.divide(row[:, 1:], row[:, :1], out=pad[:, :b])
-            l[:, k] = pad[:, :b]
+        for k in range(b, b + n):
+            np.divide(off[k], pivot[k], out=mult)
             # entry (k+1+i, k+1+i+t) loses A[k, k+1+i] * L[k+1+i+t, k]
-            np.multiply(row[:, 1:, None], skew, out=update)
-            work[:, k + 1:k + 1 + b] -= update
-    d = work[:, :n, 0].copy()
+            np.multiply(column[k], skew, out=update)
+            np.subtract(below[k], update, out=below[k])
+            np.copyto(off[k], mult)     # A[k, k+1..] was read for the last time
     tol = _PIVOT_TOL * big
     # first pivot below tolerance; a zero matrix fails at its first pivot
-    small = (np.abs(d) < tol[:, None]) | (big == 0.0)[:, None]
+    small = (np.abs(rows[:, :, 0].T) < tol[:, None]) | (big == 0.0)[:, None]
     bad = np.where(small.any(axis=1), small.argmax(axis=1), -1) if n else np.full(batch, -1)
-    return LdltFactors(l, d, tol, bad)
+    return LdltFactors(work, tol, bad)
 
 
 def _as_columns(rhs, batch: int, n: int) -> np.ndarray:
@@ -136,24 +164,35 @@ def _as_columns(rhs, batch: int, n: int) -> np.ndarray:
 def band_ldlt_solve(f: LdltFactors, rhs) -> np.ndarray:
     """Solve A_s x_s = rhs_s for every member, rhs (batch, n) or
     (batch, n, m); the result has the shape of rhs."""
-    batch, n, b = f.d.shape[0], f.n, f.b
+    batch, n, b = f.packed.shape[1], f.n, f.b
     cols = _as_columns(rhs, batch, n)
-    # rows b..b+n-1 hold x; the zero margins absorb the band's overhang
-    x = np.zeros((batch, b + n + b, cols.shape[2]), np.result_type(f.d, cols, float))
-    x[:, b:b + n] = cols
-    # row k of L as lower[s, k, t] = L[k, k - b + t], for the column sweep of L^T
-    lower = np.zeros_like(f.l)
-    for t in range(max(b - n, 0), b):
-        lower[:, b - t:, t] = f.l[:, :n - b + t, b - 1 - t]
+    # step-major like the factors: rows b..b+n-1 hold x, the zero margins
+    # absorb the band's overhang
+    x = np.zeros((b + n + b, batch, cols.shape[2]), np.result_type(f.packed, cols, float))
+    x[b:b + n] = cols.transpose(1, 0, 2)
+    p = f.packed
+    # per-step views, made once: column k of L below the diagonal as
+    # down[k, t, s] = L[k + 1 + t, k], row k of L left of it as
+    # left[k, t, s] = L[k, k - b + t] (the zero rows before p's step 0
+    # stand in for the columns before L's first), and the b rows of x
+    # after and before row k
+    down = p[:, :, 1:].transpose(0, 2, 1)[..., None]
+    left = as_strided(p[:, :, b:], (n, b, batch),
+                      (p.strides[0], p.strides[0] - p.strides[2], p.strides[1]),
+                      writeable=False)[..., None]
+    xk = x[:, None]
+    before = _row_windows(x, b)
+    after = before[1:]
+    update = np.empty((b, batch, cols.shape[2]), x.dtype)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(n):                  # L y = rhs, column by column
-            i = b + k
-            x[:, i + 1:i + 1 + b] -= f.l[:, k, :, None] * x[:, i, None]
-        x[:, b:b + n] /= f.d[:, :, None]
-        for k in range(n - 1, -1, -1):      # L^T x = D^-1 y, column by column
-            i = b + k
-            x[:, i - b:i] -= lower[:, k, :, None] * x[:, i, None]
-    x = x[:, b:b + n]
+        for k in range(b, b + n):            # L y = rhs, column by column
+            np.multiply(down[k], xk[k], out=update)
+            np.subtract(after[k], update, out=after[k])
+        x[b:b + n] /= p[b:b + n, :, :1]
+        for k in range(b + n - 1, b - 1, -1):  # L^T x = D^-1 y, column by column
+            np.multiply(left[k - b], xk[k], out=update)
+            np.subtract(before[k - b], update, out=before[k - b])
+    x = x[b:b + n].transpose(1, 0, 2)
     return x if np.ndim(rhs) == 3 else x[:, :, 0]
 
 

@@ -641,6 +641,30 @@ def test_mode_finder_factors_at_most_32_shifts_per_call(monkeypatch):
     assert np.all(np.abs(freqs - ref) <= 1e-6 * ref + floor)
 
 
+def long_spec():
+    # a 100 m beam puts 36 roots below 200 Hz on 6 elements, so the lowest
+    # brackets share every round with many other open ones
+    base = beam.default_spec()
+    return beam.BeamSpec(100.0, base.section, base.material, 6,
+                         base.axis_direction, base.tip_load)
+
+
+@pytest.mark.parametrize("spec", [beam.default_spec(), section_spec(0.02, 0.02), long_spec()],
+                         ids=["default", "square", "100m"])
+def test_first_roots_bit_equal_full_scan(spec):
+    full = beam.natural_frequencies(spec, 200.0)
+    assert len(full) >= 4
+    for k in range(1, len(full) + 2):
+        assert beam.natural_frequencies(spec, 200.0, n_roots=k) == full[:k]
+    alpha, beta = beam.default_damping(spec)
+    assert (alpha, beta) == (0.0, 2.0 * 0.01 / (2.0 * math.pi * full[0]))
+
+
+def test_first_roots_scan_needs_a_positive_count():
+    with pytest.raises(InvalidSpec, match="n_roots"):
+        beam.natural_frequencies(beam.default_spec(), 200.0, n_roots=0)
+
+
 def _brute_brackets(freqs, counts, n):
     pairs = list(zip(freqs.tolist(), counts.tolist()))
     return ([max(f for f, c in pairs if c < i) for i in range(1, n + 1)],

@@ -357,6 +357,17 @@ def test_predict_conflicting_modes_exits_2(beam_model):
     assert "conflict" in res.stderr
 
 
+@pytest.mark.parametrize("out_dir", ["existing", "missing"])
+def test_predict_freq_with_out_exits_2(tmp_path, capsys, beam_model, out_dir):
+    # --out used to be ignored in --freq mode, even in a missing directory
+    out = tmp_path / ("" if out_dir == "existing" else "missing") / "x.csv"
+    assert cli.main(["predict", "--model", str(beam_model), "--freq", "9",
+                     "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "conflicts with --out" in err
+    assert not out.exists()
+
+
 # --- eval --------------------------------------------------------------------
 
 def test_eval_small_run_writes_artifacts(tmp_path):
@@ -407,7 +418,29 @@ def test_eval_unwritable_history_exits_2_before_work(tmp_path, capsys):
                    "--history", str(tmp_path / "missing" / "h.csv")])
     assert rc == 2
     assert "output directory does not exist" in capsys.readouterr().err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["empty_out_dir", "out_dir_is_file", "plot", "history"])
+def test_eval_rejected_paths_exit_2_and_leave_no_directory(tmp_path, capsys, monkeypatch, case):
+    # --out-dir "" used to exit 3 (FileNotFoundError), and a bad --plot or
+    # --history used to leave the freshly made --out-dir behind
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(osc, "sweep_oscillator", no_work)
+    out_dir = tmp_path / "report"
+    missing = str(tmp_path / "missing" / "x")
+    argv = ["eval", "--experiment", "example1", "--out-dir", str(out_dir)]
+    if case == "empty_out_dir":
+        argv[-1] = ""
+    elif case == "out_dir_is_file":
+        out_dir.write_text("")
+    else:
+        argv += [f"--{case}", missing]
+    assert cli.main(argv) == 2
+    assert "output" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["report"] if case == "out_dir_is_file" else [])
 
 
 def test_eval_close_bending_planes_tunes_beta_to_first_mode(tmp_path):
