@@ -164,6 +164,10 @@ DEFAULT_GRID = (1.0, 200.0, 400)
 # per _BATCH shifts.  On the default beam 4 was the fastest of 2, 4, 8 and
 # 16 (11 rounds).
 _SHIFTS = 4
+# default_damping: the first mode's damping ratio, and the first bound below
+# which that mode is searched.
+_DAMPING_RATIO = 0.01
+_DAMPING_F_MAX = 200.0
 
 
 def default_spec() -> BeamSpec:
@@ -244,16 +248,14 @@ def build_mesh(spec: BeamSpec) -> BeamModel:
                      load=load, frame=frame)
 
 
-def element_matrices(spec: BeamSpec, element_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Local 12x12 stiffness and consistent mass of one element.
+def element_matrices(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Local 12x12 stiffness and consistent mass of an element; the mesh is
+    uniform, so every element has the same ones.
 
     Local DOF order per node: (ux, uy, uz, rx, ry, rz).  Axial and torsion
     use linear shape functions; the two bending planes use cubic Hermite
     shape functions (no shear deformation, no rotary inertia).
     """
-    if not 0 <= element_index < spec.n_elements:
-        raise InvalidSpec(
-            f"element_index must be in [0, {spec.n_elements}), got {element_index}")
     le = spec.element_length
     mat, sec = spec.material, spec.section
     e_mod, g_mod, rho = mat.youngs_modulus, mat.shear_modulus, mat.density
@@ -312,7 +314,7 @@ def assemble(model: BeamModel, spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     for b in range(4):
         rot[3 * b: 3 * b + 3, 3 * b: 3 * b + 3] = model.frame
 
-    k_loc, m_loc = element_matrices(spec, 0)  # uniform mesh: all elements equal
+    k_loc, m_loc = element_matrices(spec)
     k_glob = rot.T @ k_loc @ rot
     m_glob = rot.T @ m_loc @ rot
     # the rotation leaves a rounding-level asymmetry; the band storage holds
@@ -367,10 +369,12 @@ class ReducedSystem:
 
 def rayleigh_damping(k, m, alpha: float, beta: float) -> np.ndarray:
     """C = alpha*M + beta*K, entry by entry, so band storage in gives band
-    storage out."""
-    if alpha < 0.0 or beta < 0.0 or (alpha == 0.0 and beta == 0.0):
+    storage out.  Raises InvalidDamping unless alpha and beta are finite,
+    >= 0 and not both zero."""
+    if not (math.isfinite(alpha) and math.isfinite(beta)) \
+            or alpha < 0.0 or beta < 0.0 or (alpha == 0.0 and beta == 0.0):
         raise InvalidDamping(
-            f"need alpha, beta >= 0 and not both zero, got ({alpha}, {beta})")
+            f"need finite alpha, beta >= 0 and not both zero, got ({alpha}, {beta})")
     return alpha * np.asarray(m) + beta * np.asarray(k)
 
 
@@ -566,14 +570,15 @@ def _brackets(freqs: np.ndarray, counts: np.ndarray, n: int) -> tuple[list, list
     return lo.tolist(), hi.tolist()
 
 
-def default_damping(spec: BeamSpec, target_zeta: float = 0.01,
-                    f_max: float = 200.0) -> tuple[float, float]:
+def default_damping(spec: BeamSpec) -> tuple[float, float]:
     """Stiffness-proportional damping tuned so the first mode sees the
-    target damping ratio: beta = 2*zeta/(2*pi*f1), alpha = 0."""
-    f_hi = f_max
+    damping ratio _DAMPING_RATIO: beta = 2*zeta/(2*pi*f1), alpha = 0.  The
+    first mode is searched below _DAMPING_F_MAX, then below 4, 16 and 64
+    times that."""
+    f_hi = _DAMPING_F_MAX
     for _ in range(4):
         freqs = natural_frequencies(spec, f_hi, n_roots=1)
         if freqs:
-            return 0.0, 2.0 * target_zeta / (2.0 * math.pi * freqs[0])
+            return 0.0, 2.0 * _DAMPING_RATIO / (2.0 * math.pi * freqs[0])
         f_hi *= 4.0
     raise InvalidSpec(f"no natural frequency found below {f_hi / 4.0} Hz")

@@ -1,9 +1,10 @@
 """Command-line front end: generate ground-truth data, train surrogates,
 predict, and run the full evaluation pipelines.
 
-Exit codes: 0 success, 2 configuration error, 3 data/solver error,
-4 training divergence, 5 unreadable model file.  stdout carries
-machine-readable results; diagnostics go to stderr.
+Exit codes: 0 success, else the exit_code of the package error raised
+(errors.py: 2 configuration error, 3 data/solver error, 4 training
+divergence, 5 unreadable model file), and 3 for an OS error on a file.
+stdout carries machine-readable results; diagnostics go to stderr.
 """
 
 import argparse
@@ -18,18 +19,7 @@ from . import beam as beam_mod
 from . import dataset, mlp
 from . import oscillator as osc_mod
 from . import surrogate
-from .errors import (
-    ConfigError,
-    DataError,
-    ModelFileError,
-    SolverError,
-    TrainingError,
-)
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_TRAINING = 4
-EXIT_MODEL = 5
+from .errors import ConfigError, DataError, FemSurrogateError
 
 # Memory per grid point, the largest of the pipelines: the full-grid forward
 # pass through the widest default layer (200 units) holds up to four
@@ -162,7 +152,13 @@ def _merge_config(args: argparse.Namespace, parser) -> argparse.Namespace:
 
 
 def _seed(args) -> int:
-    return surrogate.SPLIT_SEED if args.seed is None else int(args.seed)
+    """--seed, from the flag or --config, or the experiments' seed; a
+    negative seed is a ConfigError."""
+    if args.seed is None:
+        return surrogate.SPLIT_SEED
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
 
 
 def _test_fraction(args) -> float:
@@ -192,13 +188,17 @@ def _train_config(args, experiment, seed) -> mlp.TrainConfig:
 
 
 def _check_out_path(path, new_dir=None) -> None:
-    """Output paths are validated before any computation starts.  new_dir
-    is a directory the command creates before writing, so a path directly
-    inside it may name a parent that does not exist yet."""
+    """Output paths are validated before any computation starts: an empty
+    path, an existing directory, or a parent that is missing or not
+    writable is a ConfigError.  new_dir is a directory the command creates
+    before writing, so a path directly inside it may name a parent that
+    does not exist yet."""
     if path is None:
         return
     if path == "":
         raise ConfigError("output path must not be empty")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path is a directory: {path}")
     parent = os.path.dirname(os.path.abspath(path))
     if new_dir is not None and parent == os.path.abspath(new_dir) and not os.path.exists(parent):
         return
@@ -297,13 +297,13 @@ def _write_history(path, h: mlp.TrainHistory) -> None:
 def cmd_train(args) -> int:
     _check_out_path(args.out_model)
     _check_out_path(args.history)
+    seed = _seed(args)
     freqs, outputs = dataset.read_csv(args.data)
     if freqs.size == 0:
         raise DataError(f"{args.data} holds no samples")
     k = outputs.shape[1]
     experiment = args.experiment or ("example1" if k == 1 else "example2")
     layers = _layer_sizes(args, surrogate.EXPERIMENTS[experiment]["layers"][:-1] + [k])
-    seed = _seed(args)
     fit = surrogate.fit_surrogate(experiment, freqs, outputs, layers,
                                   _train_config(args, experiment, seed), seed,
                                   _test_fraction(args), record=args.history is not None)
@@ -361,8 +361,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"output directory is not a directory: {args.out_dir}")
     _check_out_path(args.plot, args.out_dir)
     _check_out_path(args.history, args.out_dir)
-    os.makedirs(args.out_dir, exist_ok=True)
     seed = _seed(args)
+    os.makedirs(args.out_dir, exist_ok=True)
     run = {"train_config": _train_config(args, args.experiment, seed), "split_seed": seed,
            "layer_sizes": _layer_sizes(args, surrogate.EXPERIMENTS[args.experiment]["layers"]),
            "test_fraction": _test_fraction(args),
@@ -406,18 +406,12 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args, parser)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except FemSurrogateError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, SolverError, OSError) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
     MalformedRow,
-    NonPositiveForLog,
     TooFewSamples,
 )
 
@@ -49,6 +48,8 @@ def split(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarr
 
 LINEAR_MINMAX = "linear_minmax"
 LOG10 = "log10"
+# Values below it are raised to it before log10, so a zero maps to -18.
+LOG10_FLOOR = 1e-18
 
 
 @dataclass
@@ -106,18 +107,14 @@ def _as_columns(values) -> np.ndarray:
     return v
 
 
-def scale_fit(values, scheme: str, floor_eps: float | None = 1e-18) -> Scaler:
-    """Fit a scaler on training columns only (no test leakage)."""
+def scale_fit(values, scheme: str) -> Scaler:
+    """Fit a scaler on training columns only (no test leakage).  A log10
+    scaler takes no parameter from the data: its floor is LOG10_FLOOR."""
     v = _as_columns(values)
     if scheme == LINEAR_MINMAX:
         return Scaler(scheme, col_min=v.min(axis=0), col_max=v.max(axis=0))
     if scheme == LOG10:
-        if floor_eps is None or floor_eps <= 0.0:
-            if np.any(v <= 0.0):
-                raise NonPositiveForLog(
-                    "log10 scaling without a positive floor requires all values > 0")
-            floor_eps = 0.0
-        return Scaler(scheme, floor_eps=float(floor_eps))
+        return Scaler(scheme, floor_eps=LOG10_FLOOR)
     raise InvalidParams(f"unknown scaling scheme {scheme!r}")
 
 

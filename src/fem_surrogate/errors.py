@@ -1,32 +1,45 @@
 """Typed errors shared across the package.
 
-The category bases map onto the CLI exit codes: ConfigError -> 2,
-DataError / SolverError -> 3, TrainingError -> 4, ModelFileError -> 5.
+Every error derives from one category base, and the base's exit_code is
+the command line's exit status for it.
 """
 
 
 class FemSurrogateError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; only its category bases set
+    exit_code."""
+
+    exit_code: int
 
 
 class ConfigError(FemSurrogateError, ValueError):
     """Invalid user-supplied parameters or specs."""
 
+    exit_code = 2
+
 
 class DataError(FemSurrogateError, ValueError):
     """Malformed or unusable input data."""
+
+    exit_code = 3
 
 
 class SolverError(FemSurrogateError, RuntimeError):
     """Numerical solver failure."""
 
+    exit_code = 3
+
 
 class TrainingError(FemSurrogateError, RuntimeError):
     """Training-time failure."""
 
+    exit_code = 4
+
 
 class ModelFileError(FemSurrogateError, ValueError):
     """Unreadable or incompatible model file."""
+
+    exit_code = 5
 
 
 # --- configuration ---------------------------------------------------------
@@ -54,10 +67,6 @@ class DimensionMismatch(DataError):
 
 
 class TooFewSamples(DataError):
-    pass
-
-
-class NonPositiveForLog(DataError):
     pass
 
 

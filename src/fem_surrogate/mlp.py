@@ -34,6 +34,10 @@ def _shapes(layer_sizes) -> list[tuple[int, ...]]:
     return [(fan_out, fan_in) for fan_in, fan_out in pairs] + [(fan_out,) for _, fan_out in pairs]
 
 
+def _n_params(layer_sizes) -> int:
+    return sum(math.prod(s) for s in _shapes(layer_sizes))
+
+
 def _layers(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Consecutive row-major views into flat, one per shape; shapes lists
     every weight's, then every bias's, so the views split into the weights
@@ -46,64 +50,44 @@ def _layers(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray
     return views[:len(views) // 2], views[len(views) // 2:]
 
 
-def _pack(weights, biases) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """The arrays copied into one contiguous float64 vector, weights first,
-    and their shapes."""
-    arrays = [np.asarray(a, dtype=float) for a in [*weights, *biases]]
-    return np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays]
-
-
 class Mlp:
     """All parameters live in theta, one contiguous float64 vector: every
     weight matrix row-major, then every bias.  weights[l], of shape
     (layer_sizes[l+1], layer_sizes[l]), and biases[l], of shape
     (layer_sizes[l+1],), are views into it, so an in-place update of theta
-    updates the layers.  The constructor copies the given arrays into a new
-    theta."""
+    updates the layers.  The constructor wraps the given vector without
+    copying it; a vector of the wrong size raises DimensionMismatch."""
 
-    def __init__(self, layer_sizes, weights, biases):
-        theta, found = _pack(weights, biases)
-        if found != _shapes(layer_sizes):
+    def __init__(self, layer_sizes, theta: np.ndarray):
+        size = _n_params(layer_sizes)
+        if theta.shape != (size,):
             raise DimensionMismatch(
-                f"parameter shapes {found} do not fit layers {list(layer_sizes)}")
-        self._bind(layer_sizes, theta)
-
-    @classmethod
-    def _from_theta(cls, layer_sizes, theta: np.ndarray) -> "Mlp":
-        """A net whose parameters are theta itself, not a copy."""
-        net = cls.__new__(cls)
-        net._bind(layer_sizes, theta)
-        return net
-
-    def _bind(self, layer_sizes, theta: np.ndarray) -> None:
+                f"parameter vector of shape {theta.shape} does not fit layers "
+                f"{list(layer_sizes)}, which need ({size},)")
         self.layer_sizes, self.theta = list(layer_sizes), theta
-        self.weights, self.biases = _layers(theta, _shapes(self.layer_sizes))
+        self.weights, self.biases = _layers(theta, _shapes(layer_sizes))
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "Mlp":
-        return Mlp._from_theta(self.layer_sizes, self.theta.copy())
-
 
 class Gradients:
     """d(mse)/d(theta) in the layout of Mlp.theta: one flat vector, with
-    per-layer weights and biases views into it.  The constructor copies the
-    given arrays."""
+    per-layer weights and biases views into it.  The constructor gives the
+    zero vector in net's layout."""
 
-    def __init__(self, weights, biases):
-        self._bind(*_pack(weights, biases))
+    def __init__(self, net: Mlp):
+        self.flat = np.zeros_like(net.theta)
+        self.weights, self.biases = _layers(self.flat, _shapes(net.layer_sizes))
 
-    @classmethod
-    def _zeros(cls, net: Mlp) -> "Gradients":
-        grads = cls.__new__(cls)
-        grads._bind(np.zeros_like(net.theta), _shapes(net.layer_sizes))
-        return grads
 
-    def _bind(self, flat: np.ndarray, shapes) -> None:
-        self.flat = flat
-        self.weights, self.biases = _layers(flat, shapes)
+# Adam's moment decay rates and denominator guard: Kingma & Ba's values.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+# Central-difference step of grad_check.
+GRAD_CHECK_STEP = 1e-6
 
 
 @dataclass
@@ -113,9 +97,6 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 1000
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
@@ -126,10 +107,6 @@ class TrainConfig:
             raise InvalidParams(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise InvalidParams(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise InvalidParams("Adam betas must lie in (0, 1)")
-        if not self.epsilon > 0.0:
-            raise InvalidParams(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass
@@ -171,7 +148,7 @@ def init(layer_sizes, seed: int) -> Mlp:
     if any(s < 1 for s in sizes):
         raise InvalidArchitecture(f"all layer sizes must be >= 1, got {sizes}")
     rng = np.random.default_rng(seed)
-    net = Mlp._from_theta(sizes, np.zeros(sum(math.prod(s) for s in _shapes(sizes))))
+    net = Mlp(sizes, np.zeros(_n_params(sizes)))
     for w in net.weights:
         bound = 1.0 / np.sqrt(w.shape[1])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -221,7 +198,7 @@ def backward(net: Mlp, x, targets, out: Gradients | None = None) -> Gradients:
     if x.shape[0] == 0:
         raise EmptyBatch("backward over an empty batch")
     if out is None:
-        out = Gradients._zeros(net)
+        out = Gradients(net)
     _check_size(net, out)
 
     last = net.n_layers - 1
@@ -261,15 +238,16 @@ def adam_init(net: Mlp) -> AdamState:
 
 def adam_step(net: Mlp, grads: Gradients, state: AdamState,
               config: TrainConfig) -> tuple[Mlp, AdamState]:
-    """One bias-corrected Adam update (Kingma & Ba 2015, Algorithm 1), in
-    place over the whole parameter vector:
+    """One bias-corrected Adam update (Kingma & Ba 2015, Algorithm 1) with
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, in place over the
+    whole parameter vector:
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2;
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
     Every ufunc writes into m, v, theta or the state's scratch, in the
     operation order of these formulas, so nothing is allocated."""
     _check_size(net, grads)
     state.t += 1
-    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, config.learning_rate, ADAM_EPSILON
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     g, m, v = grads.flat, state.m, state.v
@@ -300,7 +278,7 @@ def train(net: Mlp, data: TrainSplit, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     state = adam_init(net) if config.optimizer == "adam" else None
     n = x.shape[0]
-    grads = Gradients._zeros(net)
+    grads = Gradients(net)
     batch = min(config.batch_size, n)
     x_batch, y_batch = np.empty((batch,) + x.shape[1:]), np.empty((batch,) + y.shape[1:])
 
@@ -332,11 +310,11 @@ def train(net: Mlp, data: TrainSplit, config: TrainConfig,
     return net, history
 
 
-def grad_check(net: Mlp, x, targets, h: float = 1e-6) -> float:
+def grad_check(net: Mlp, x, targets) -> float:
     """Max relative deviation of backward() from central finite differences
-    over every parameter: |g_a - g_n| / max(1e-12, |g_a| + |g_n|)."""
-    if not 1e-8 <= h <= 1e-4:
-        raise InvalidParams(f"h must lie in [1e-8, 1e-4], got {h}")
+    of step GRAD_CHECK_STEP over every parameter:
+    |g_a - g_n| / max(1e-12, |g_a| + |g_n|)."""
+    h = GRAD_CHECK_STEP
     x = np.asarray(x, dtype=float)
     t = np.asarray(targets, dtype=float)
     analytic = backward(net, x, t).flat
@@ -414,7 +392,7 @@ def load_model(path) -> tuple[Mlp, Scaler, Scaler, dict]:
         for key in ("input_scaler", "target_scaler"):
             if not isinstance(doc[key], dict):
                 raise ValueError(f"{key} must be a scaler object, got {doc[key]!r}")
-        return (Mlp._from_theta(sizes, theta), Scaler.from_dict(doc["input_scaler"]),
+        return (Mlp(sizes, theta), Scaler.from_dict(doc["input_scaler"]),
                 Scaler.from_dict(doc["target_scaler"]), doc.get("meta", {}))
     except (KeyError, ValueError, TypeError) as exc:
         raise CorruptModel(f"malformed model file {path}: {exc}") from exc

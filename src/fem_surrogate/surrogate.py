@@ -23,6 +23,7 @@ from .errors import NanLoss
 from .svgplot import plot_curves
 
 PEAK_PROMINENCE_FACTOR = 3.0  # prominent = prominence above 3x channel median
+PEAK_TOL_STEPS = 1  # a predicted peak matches a true one within 1 grid step
 
 # The two experiments: layer sizes, whose last entry is the output count,
 # and epochs.  Both train with mlp.TrainConfig's defaults (Adam, lr 1e-3,
@@ -154,15 +155,14 @@ def local_max_indices(y: np.ndarray) -> np.ndarray:
     return (starts[peak] + ends[peak]) // 2
 
 
-def prominent_peak_indices(y: np.ndarray,
-                           factor: float = PEAK_PROMINENCE_FACTOR) -> np.ndarray:
-    """Local maxima whose topographic prominence is at least factor x
-    median(y). A peak's prominence is its height over the higher of the two
-    minima reached by walking each way until the curve rises above it
-    (scipy.signal.peak_prominences with no window)."""
+def prominent_peak_indices(y: np.ndarray) -> np.ndarray:
+    """Local maxima whose topographic prominence is at least
+    PEAK_PROMINENCE_FACTOR x median(y). A peak's prominence is its height
+    over the higher of the two minima reached by walking each way until the
+    curve rises above it (scipy.signal.peak_prominences with no window)."""
     y = np.asarray(y, dtype=float)
     peaks = local_max_indices(y)
-    threshold = factor * float(np.median(y))
+    threshold = PEAK_PROMINENCE_FACTOR * float(np.median(y))
     keep = np.zeros(len(peaks), dtype=bool)
     for k, p in enumerate(peaks):
         above = y > y[p]
@@ -174,14 +174,15 @@ def prominent_peak_indices(y: np.ndarray,
     return peaks[keep]
 
 
-def peaks_matched(true_idx, pred_idx, tol_steps: int = 1) -> bool:
-    """Every true peak has a predicted local maximum within tol_steps."""
+def peaks_matched(true_idx, pred_idx) -> bool:
+    """Every true peak has a predicted local maximum within PEAK_TOL_STEPS
+    grid steps."""
     if len(true_idx) == 0:
         return True
     if len(pred_idx) == 0:
         return False
     pred = np.asarray(pred_idx)
-    return all(np.abs(pred - t).min() <= tol_steps for t in true_idx)
+    return all(np.abs(pred - t).min() <= PEAK_TOL_STEPS for t in true_idx)
 
 
 def _metrics_test_rmse(true_out, pred_out, is_test) -> np.ndarray:
@@ -256,7 +257,7 @@ def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
     if experiment == "example1":
         true_idx = [np.array([int(np.argmax(true_out[:, 0]))])]
         pred_idx = [np.array([int(np.argmax(pred_out[:, 0]))])]
-        match = [abs(true_idx[0][0] - pred_idx[0][0]) <= 1]
+        match = [abs(true_idx[0][0] - pred_idx[0][0]) <= PEAK_TOL_STEPS]
         # Relative error at a sharp resonance is hypersensitive to sub-grid
         # peak placement; report a second RMSE that skips the 3 grid points
         # nearest the peak.

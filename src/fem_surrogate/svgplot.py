@@ -12,7 +12,7 @@ TRUE_COLOR = "#1f77b4"
 PRED_COLOR = "#d62728"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
+def _ticks(lo: float, hi: float, n: int) -> np.ndarray:
     if hi <= lo:
         hi = lo + 1.0
     return np.linspace(lo, hi, n)
@@ -22,13 +22,13 @@ def _polyline(xs, ys) -> str:
     return " ".join("%.2f,%.2f" % (x, y) for x, y in zip(xs, ys))
 
 
-def plot_curves(path, freq, true_out, pred_out, is_test, channel_names,
-                title: str | None = None) -> None:
+def plot_curves(path, freq, true_out, pred_out, is_test, channel_names, title: str) -> None:
+    """Write an SVG of the solver curves true_out (n, k) against the
+    surrogate's pred_out (n, k) over freq (n,), one panel per channel, with
+    the points where is_test is set circled and title above the panels."""
     freq = np.asarray(freq, dtype=float)
-    true_out = np.atleast_2d(np.asarray(true_out, dtype=float))
-    pred_out = np.atleast_2d(np.asarray(pred_out, dtype=float))
-    if true_out.shape[0] == 1 and freq.size > 1:
-        true_out, pred_out = true_out.T, pred_out.T
+    true_out = np.asarray(true_out, dtype=float)
+    pred_out = np.asarray(pred_out, dtype=float)
     k = true_out.shape[1]
     height = MARGIN_T + k * PANEL_H + 10
 
@@ -36,15 +36,12 @@ def plot_curves(path, freq, true_out, pred_out, is_test, channel_names,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
         f'font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
-    parts.append(
+        f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<text x="{WIDTH - MARGIN_R}" y="20" text-anchor="end" fill="{TRUE_COLOR}">'
         f'solver</text>'
         f'<text x="{WIDTH - MARGIN_R - 60}" y="20" text-anchor="end" fill="{PRED_COLOR}">'
-        f'surrogate</text>')
+        f'surrogate</text>',
+    ]
 
     x_lo, x_hi = freq[0], freq[-1]
     plot_w = WIDTH - MARGIN_L - MARGIN_R

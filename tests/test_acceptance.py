@@ -236,7 +236,7 @@ def test_criterion_10_structural_invariants():
     # band storage holds one triangle, so symmetry is checked on what the
     # assembly scatters: the element matrices, local and rotated
     to_global = np.kron(np.eye(4), beam.section_frame(spec.axis_direction, spec.section_ref))
-    k_loc, m_loc = beam.element_matrices(spec, 0)
+    k_loc, m_loc = beam.element_matrices(spec)
     sym_ok = all(np.abs(a - a.T).max() <= 1e-10 * np.abs(a).max()
                  for a in (k_loc, m_loc, to_global.T @ k_loc @ to_global,
                            to_global.T @ m_loc @ to_global))

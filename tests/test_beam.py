@@ -96,7 +96,7 @@ def hermite_bending_matrices(ei, rho_a, le):
 def test_element_axial_and_bending_diagonals():
     spec = straight_spec()
     le = spec.element_length
-    k, m = beam.element_matrices(spec, 0)
+    k, m = beam.element_matrices(spec)
     e_mod = spec.material.youngs_modulus
     assert k[0, 0] == pytest.approx(e_mod * spec.section.area / le, rel=1e-12)
     assert k[1, 1] == pytest.approx(12.0 * e_mod * spec.section.i_z / le ** 3, rel=1e-12)
@@ -106,7 +106,7 @@ def test_element_axial_and_bending_diagonals():
 def test_element_bending_blocks_match_quadrature():
     spec = straight_spec()
     le = spec.element_length
-    k, m = beam.element_matrices(spec, 0)
+    k, m = beam.element_matrices(spec)
     rho_a = spec.material.density * spec.section.area
 
     k_ref, m_ref = hermite_bending_matrices(
@@ -127,7 +127,7 @@ def test_element_bending_blocks_match_quadrature():
 
 def test_element_symmetry_and_definiteness():
     spec = straight_spec()
-    k, m = beam.element_matrices(spec, 0)
+    k, m = beam.element_matrices(spec)
     npt.assert_allclose(k, k.T, atol=1e-10 * np.abs(k).max())
     npt.assert_allclose(m, m.T, atol=1e-12 * np.abs(m).max())
     k_eigs = np.linalg.eigvalsh(k)
@@ -138,18 +138,13 @@ def test_element_symmetry_and_definiteness():
 
 def test_element_mass_conserves_translational_mass():
     spec = straight_spec()
-    _, m = beam.element_matrices(spec, 0)
+    _, m = beam.element_matrices(spec)
     le = spec.element_length
     expected = spec.material.density * spec.section.area * le
     for d in range(3):
         rigid = np.zeros(12)
         rigid[d] = rigid[d + 6] = 1.0
         assert rigid @ m @ rigid == pytest.approx(expected, rel=1e-12)
-
-
-def test_element_index_validation():
-    with pytest.raises(InvalidSpec, match="element_index"):
-        beam.element_matrices(straight_spec(n_elements=4), 4)
 
 
 # --- assembly ----------------------------------------------------------------
@@ -159,7 +154,7 @@ def test_assembly_along_x_uses_identity_rotation():
                          axis_direction=X_AXIS, tip_load=np.zeros(3))
     model = beam.build_mesh(spec)
     npt.assert_array_equal(model.frame, np.eye(3))
-    k_loc, m_loc = beam.element_matrices(spec, 0)
+    k_loc, m_loc = beam.element_matrices(spec)
     kb, mb = beam.assemble(model, spec)
     assert kb.shape == mb.shape == (model.n_dof, 12)
     big_k, big_m = band_to_dense(kb), band_to_dense(mb)
@@ -176,7 +171,7 @@ def rotated_element_matrices(spec):
     """Element K and M, local and rotated to the global frame by
     section_frame."""
     rot = np.kron(np.eye(4), beam.section_frame(spec.axis_direction, spec.section_ref))
-    k_loc, m_loc = beam.element_matrices(spec, 0)
+    k_loc, m_loc = beam.element_matrices(spec)
     return k_loc, m_loc, rot.T @ k_loc @ rot, rot.T @ m_loc @ rot
 
 
@@ -234,8 +229,9 @@ def test_rayleigh_damping_forms():
     m = np.array([[1.0, 0.0], [1.0, 0.0]])
     npt.assert_allclose(beam.rayleigh_damping(k, m, 0.0, 0.001), 0.001 * k, atol=0)
     npt.assert_allclose(beam.rayleigh_damping(k, m, 1.0, 0.0), m, atol=0)
-    with pytest.raises(InvalidDamping):
-        beam.rayleigh_damping(k, m, 0.0, 0.0)
+    for alpha, beta in ((0.0, 0.0), (-1.0, 0.001), (math.nan, 0.001), (0.0, math.inf)):
+        with pytest.raises(InvalidDamping):
+            beam.rayleigh_damping(k, m, alpha, beta)
 
 
 def test_default_damping_hits_target_modal_ratio():

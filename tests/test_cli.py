@@ -6,7 +6,7 @@ import sys
 import pytest
 import scipy.linalg
 
-from fem_surrogate import beam, cli, mlp, surrogate
+from fem_surrogate import beam, cli, dataset, errors, mlp, surrogate
 from fem_surrogate import oscillator as osc
 
 
@@ -143,6 +143,26 @@ def test_empty_out_path_exits_2_before_work(tmp_path, capsys, monkeypatch, osc_c
     assert cli.main(argv + [flag, ""]) == 2
     assert "output path must not be empty" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag", [("generate", "--out"), ("eval", "--plot")])
+def test_out_path_naming_a_directory_exits_2_before_work(tmp_path, capsys, monkeypatch,
+                                                         command, flag):
+    # a directory is rejected before the sweep or training, not when the
+    # write fails after all the work
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(osc, "sweep_oscillator", no_work)
+    target = tmp_path / "taken"
+    target.mkdir()
+    argv = {"generate": ["generate", "--experiment", "example1"],
+            "eval": ["eval", "--experiment", "example1",
+                     "--out-dir", str(tmp_path / "report")]}[command]
+    assert cli.main(argv + [flag, str(target)]) == 2
+    assert "output path is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
 
 
 # --- train -------------------------------------------------------------------
@@ -527,3 +547,75 @@ def test_cli_import_loads_no_scipy():
 def test_missing_subcommand_exits_2():
     res = run_cli()
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_negative_seed_exits_2_before_work(tmp_path, capsys, monkeypatch, osc_csv,
+                                           command, source):
+    # numpy's default_rng rejects a negative seed with a bare ValueError, so
+    # the CLI checks it first, and train before it reads the CSV
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(dataset, "read_csv", no_work)
+    monkeypatch.setattr(osc, "sweep_oscillator", no_work)
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--data", str(osc_csv), "--out-model", str(out)],
+            "eval": ["eval", "--experiment", "example1", "--out-dir", str(out)]}[command]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "inf")])
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_non_finite_damping_exits_2(tmp_path, capsys, monkeypatch, command, flag, value):
+    # a non-finite coefficient is a configuration error, not one for the band
+    # solver to find in the damping matrix
+    monkeypatch.setattr(mlp, "train", lambda *a, **k: pytest.fail("training started"))
+    out = tmp_path / "b.csv"
+    argv = {"generate": ["generate", "--experiment", "example2", "--out", str(out)],
+            "eval": ["eval", "--experiment", "example2", "--out-dir", str(tmp_path)]}[command]
+    assert cli.main(argv + ["--grid-points", "5", "--n-elements", "4", flag, value]) == 2
+    assert "need finite alpha, beta" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Every package error and the exit status it gives; a new error class must be
+# added here.
+EXIT_CODES = {
+    "ConfigError": 2, "InvalidParams": 2, "InvalidSpec": 2, "InvalidDamping": 2,
+    "InvalidArchitecture": 2,
+    "DataError": 3, "DimensionMismatch": 3, "TooFewSamples": 3, "MalformedRow": 3,
+    "EmptyBatch": 3,
+    "SolverError": 3, "Singular": 3, "UnboundedResonance": 3, "NonConvergent": 3,
+    "TrainingError": 4, "NanLoss": 4,
+    "ModelFileError": 5, "VersionMismatch": 5, "CorruptModel": 5,
+}
+
+
+def test_every_error_class_has_its_exit_code():
+    found = {name: cls.exit_code for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.FemSurrogateError)
+             and cls is not errors.FemSurrogateError}
+    assert found == EXIT_CODES
+
+
+@pytest.mark.parametrize("name", [*EXIT_CODES, "OSError"])
+def test_main_exits_with_the_error_exit_code(tmp_path, capsys, monkeypatch, name):
+    exc = PermissionError(13, "denied") if name == "OSError" else getattr(errors, name)("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "generate", fail)
+    rc = cli.main(["generate", "--experiment", "example1", "--out", str(tmp_path / "x.csv")])
+    assert rc == EXIT_CODES.get(name, 3)
+    assert capsys.readouterr().err.startswith("error: ")

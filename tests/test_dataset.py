@@ -5,7 +5,6 @@ import pytest
 from fem_surrogate.errors import (
     InvalidParams,
     MalformedRow,
-    NonPositiveForLog,
     TooFewSamples,
 )
 from fem_surrogate import dataset
@@ -98,11 +97,11 @@ def test_scaler_fits_on_train_only():
     assert sc.col_min[0] == 1.0 and sc.col_max[0] == 3.0
 
 
-def test_log10_without_floor_rejects_nonpositive():
-    with pytest.raises(NonPositiveForLog):
-        dataset.scale_fit(np.array([0.0, 1.0]), dataset.LOG10, floor_eps=None)
-    sc = dataset.scale_fit(np.array([0.0, 1.0]), dataset.LOG10)  # default floor
-    assert dataset.scale_apply(sc, np.array([0.0]))[0, 0] == np.log10(1e-18)
+def test_log10_floors_nonpositive_values():
+    sc = dataset.scale_fit(np.array([0.0, 1.0]), dataset.LOG10)
+    assert sc.floor_eps == 1e-18
+    npt.assert_array_equal(dataset.scale_apply(sc, np.array([0.0, -5.0, 1e-20, 1e-3])),
+                           np.log10([[1e-18], [1e-18], [1e-18], [1e-3]]))
 
 
 def test_scaler_dict_round_trip():
