@@ -1,7 +1,9 @@
 """Walkthrough: train a reduced beam surrogate and compare it to the solver.
 
 Scaled down (coarser mesh, shorter grid, fewer epochs) to finish in well
-under a minute; surrogate.run_example2() holds the full-size defaults.
+under a minute; surrogate.EXPERIMENTS["example2"] holds the full-size
+net and epochs, beam.default_spec() and beam.default_grid() the full-size
+beam and grid.
 """
 
 import numpy as np
@@ -12,14 +14,14 @@ spec = beam.BeamSpec(length=1.0, section=beam.CrossSection(0.03, 0.02),
                      material=beam.STEEL, n_elements=10,
                      axis_direction=np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0),
                      tip_load=np.array([0.0, 10.0, 10.0]))
+grid = osc.FrequencyGrid.uniform(1.0, 160.0, 200)
+outputs, echo = surrogate.beam_truth(spec, grid, beam.default_damping(spec))
 
-report = surrogate.run_example2(
-    spec=spec,
-    grid=osc.FrequencyGrid.uniform(1.0, 160.0, 200),
-    train_config=mlp.TrainConfig(optimizer="adam", learning_rate=2e-3,
-                                 batch_size=16, epochs=5000, seed=42),
-    layer_sizes=[1, 96, 96, 3],
-)
+report = surrogate.run_experiment(
+    "example2", grid.values, outputs, echo, [1, 96, 96, 3],
+    mlp.TrainConfig(optimizer="adam", learning_rate=2e-3, batch_size=16,
+                    epochs=5000, seed=surrogate.SPLIT_SEED),
+    surrogate.SPLIT_SEED, surrogate.TEST_FRACTION, record=False)
 
 print(f"final train MSE (log space): {report.train_mse_scaled:.3e}")
 print(f"final test  MSE (log space): {report.test_mse_scaled:.3e}")

@@ -1,16 +1,19 @@
 """Walkthrough: train an oscillator surrogate and inspect the report.
 
 Runs the first experiment at a fifth of the default epoch budget so it
-finishes in about ten seconds; surrogate.run_example1() with no arguments
-trains the full 20000 epochs and roughly halves the reported errors.
+finishes in about ten seconds; surrogate.EXPERIMENTS["example1"] holds the
+full recipe, whose 20000 epochs roughly halve the reported errors.
 """
 
 from fem_surrogate import mlp, oscillator as osc, surrogate
 
-report = surrogate.run_example1(
-    train_config=mlp.TrainConfig(optimizer="adam", learning_rate=1e-3,
-                                 batch_size=16, epochs=4000, seed=42),
-)
+grid = osc.default_grid()
+outputs, echo = surrogate.oscillator_truth(osc.DEFAULT_PARAMS, grid)
+report = surrogate.run_experiment(
+    "example1", grid.values, outputs, echo, surrogate.EXPERIMENTS["example1"]["layers"],
+    mlp.TrainConfig(optimizer="adam", learning_rate=1e-3, batch_size=16,
+                    epochs=4000, seed=surrogate.SPLIT_SEED),
+    surrogate.SPLIT_SEED, surrogate.TEST_FRACTION, record=False)
 
 print(f"trained on {int((~report.is_test).sum())} points, "
       f"held out {int(report.is_test.sum())}")

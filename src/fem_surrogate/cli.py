@@ -208,6 +208,21 @@ def _check_out_path(path, new_dir=None) -> None:
         raise ConfigError(f"output directory is not writable: {parent}")
 
 
+def _check_out_dir(path) -> None:
+    """eval makes --out-dir only once the report is ready, so it is checked
+    before any work: its nearest existing ancestor (itself, if it exists)
+    must be a writable directory, or it is a ConfigError."""
+    if path == "":
+        raise ConfigError("output directory must not be empty")
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"output directory is not a directory: {existing}")
+    if not os.access(existing, os.W_OK):
+        raise ConfigError(f"output directory is not writable: {existing}")
+
+
 def _grid(start, stop, n) -> osc_mod.FrequencyGrid:
     if n > MAX_GRID_POINTS:
         raise ConfigError(
@@ -272,15 +287,20 @@ def _damping_or_default(args, spec) -> tuple[float, float]:
     return (args.alpha or 0.0, args.beta or 0.0)
 
 
-def cmd_generate(args) -> int:
-    _check_out_path(args.out)
+def _ground_truth(args) -> tuple[osc_mod.FrequencyGrid, np.ndarray, dict]:
+    """The experiment's grid and its solver's outputs and settings echo on
+    it, each setting from its flag or the experiment's default."""
     if args.experiment == "example1":
         grid = _grid_or(args, osc_mod.DEFAULT_GRID)
-        outputs = osc_mod.sweep_oscillator(_osc_params(args), grid)
-    else:
-        spec = _beam_spec(args)
-        grid = _grid_or(args, beam_mod.DEFAULT_GRID)
-        outputs = beam_mod.frequency_sweep(spec, grid, _damping_or_default(args, spec))
+        return (grid, *surrogate.oscillator_truth(_osc_params(args), grid))
+    spec = _beam_spec(args)
+    grid = _grid_or(args, beam_mod.DEFAULT_GRID)
+    return (grid, *surrogate.beam_truth(spec, grid, _damping_or_default(args, spec)))
+
+
+def cmd_generate(args) -> int:
+    _check_out_path(args.out)
+    grid, outputs, _ = _ground_truth(args)
     dataset.write_csv(args.out, grid.values, outputs)
     print(f"rows={len(grid)} f_min_hz={grid.values[0]:.17g} f_max_hz={grid.values[-1]:.17g} "
           f"out={args.out}")
@@ -330,11 +350,11 @@ def cmd_predict(args) -> int:
     if args.freq is None and all(v is None for v in grid_flags):
         raise ConfigError("predict needs --freq or a --grid-start/stop/points range")
 
+    # The trained range: the input scaler's, which predict flags against.
+    lo, hi = float(input_scaler.col_min[0]), float(input_scaler.col_max[0])
     if args.freq is not None:
         out, extrapolated = surrogate.predict(model, args.freq)
         if extrapolated:
-            lo = meta.get("freq_min_hz")
-            hi = meta.get("freq_max_hz")
             print(f"warning: {args.freq} Hz is outside the trained range "
                   f"[{lo}, {hi}] Hz; extrapolating", file=sys.stderr)
         print(" ".join("%.17g" % v for v in out))
@@ -343,8 +363,8 @@ def cmd_predict(args) -> int:
     if args.out is None:
         raise ConfigError("grid mode needs --out for the curve CSV")
     _check_out_path(args.out)
-    lo = meta.get("freq_min_hz", 0.0) if args.grid_start is None else args.grid_start
-    hi = meta.get("freq_max_hz", 1.0) if args.grid_stop is None else args.grid_stop
+    lo = lo if args.grid_start is None else args.grid_start
+    hi = hi if args.grid_stop is None else args.grid_stop
     n = 200 if args.grid_points is None else args.grid_points
     grid = _grid(lo, hi, n)
     pred = surrogate.predict_batch(model, grid.values)
@@ -355,27 +375,20 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.out_dir == "":
-        raise ConfigError("output directory must not be empty")
-    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
-        raise ConfigError(f"output directory is not a directory: {args.out_dir}")
+    _check_out_dir(args.out_dir)
     _check_out_path(args.plot, args.out_dir)
     _check_out_path(args.history, args.out_dir)
     seed = _seed(args)
-    os.makedirs(args.out_dir, exist_ok=True)
-    run = {"train_config": _train_config(args, args.experiment, seed), "split_seed": seed,
-           "layer_sizes": _layer_sizes(args, surrogate.EXPERIMENTS[args.experiment]["layers"]),
-           "test_fraction": _test_fraction(args),
-           "record": args.history is not None}  # per-epoch losses only for the history CSV
-    if args.experiment == "example1":
-        report = surrogate.run_example1(
-            osc=_osc_params(args), grid=_grid_or(args, osc_mod.DEFAULT_GRID), **run)
-    else:
-        spec = _beam_spec(args)
-        report = surrogate.run_example2(
-            spec=spec, grid=_grid_or(args, beam_mod.DEFAULT_GRID),
-            damping=_damping_or_default(args, spec), **run)
+    train_config = _train_config(args, args.experiment, seed)
+    layers = _layer_sizes(args, surrogate.EXPERIMENTS[args.experiment]["layers"])
+    test_fraction = _test_fraction(args)
+    grid, outputs, echo = _ground_truth(args)
+    # per-epoch losses only for the history CSV
+    report = surrogate.run_experiment(args.experiment, grid.values, outputs, echo, layers,
+                                      train_config, seed, test_fraction,
+                                      record=args.history is not None)
 
+    os.makedirs(args.out_dir, exist_ok=True)
     curves = os.path.join(args.out_dir, f"{args.experiment}_curves.csv")
     metrics = os.path.join(args.out_dir, f"{args.experiment}_metrics.txt")
     report.write_curves_csv(curves)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Scaler
+from .dataset import LINEAR_MINMAX, Scaler
 from .errors import (
     CorruptModel,
     DimensionMismatch,
@@ -359,7 +359,8 @@ def save_model(net: Mlp, input_scaler: Scaler, target_scaler: Scaler,
 
 def load_model(path) -> tuple[Mlp, Scaler, Scaler, dict]:
     """Inverse of save_model; parameters round-trip bit for bit.  A file
-    without both scalers is corrupt: a net alone predicts nothing physical."""
+    without both scalers is corrupt: a net alone predicts nothing physical.
+    So is an input scaler that is not min-max over the net's inputs."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -392,7 +393,11 @@ def load_model(path) -> tuple[Mlp, Scaler, Scaler, dict]:
         for key in ("input_scaler", "target_scaler"):
             if not isinstance(doc[key], dict):
                 raise ValueError(f"{key} must be a scaler object, got {doc[key]!r}")
-        return (Mlp(sizes, theta), Scaler.from_dict(doc["input_scaler"]),
+        input_scaler = Scaler.from_dict(doc["input_scaler"])
+        # its min-max bounds are the trained frequency range
+        if input_scaler.scheme != LINEAR_MINMAX or len(input_scaler.col_min) != sizes[0]:
+            raise ValueError(f"input_scaler must be {LINEAR_MINMAX} over {sizes[0]} column(s)")
+        return (Mlp(sizes, theta), input_scaler,
                 Scaler.from_dict(doc["target_scaler"]), doc.get("meta", {}))
     except (KeyError, ValueError, TypeError) as exc:
         raise CorruptModel(f"malformed model file {path}: {exc}") from exc

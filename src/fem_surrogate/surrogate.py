@@ -237,25 +237,50 @@ def fit_surrogate(experiment: str, freqs, outputs, layer_sizes, train_config: ml
                train_mse_scaled=train_mse, test_mse_scaled=test_mse)
 
 
-def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
-                  split_seed, test_fraction, setup_echo, record=True):
-    """Train on (freqs, true_out) and report against it.  None for
-    layer_sizes or train_config takes the experiment's own; setup_echo holds
-    the physical settings, which the metrics list after the experiment and
-    before the grid, split and training settings."""
-    layers = list(layer_sizes or EXPERIMENTS[experiment]["layers"])
-    cfg = train_config or mlp.TrainConfig(epochs=EXPERIMENTS[experiment]["epochs"],
-                                          seed=SPLIT_SEED)
-    fit = fit_surrogate(experiment, freqs, true_out, layers, cfg, split_seed,
+def oscillator_truth(osc: osc_mod.OscillatorParams,
+                     grid: osc_mod.FrequencyGrid) -> tuple[np.ndarray, dict]:
+    """Experiment 1's ground truth: the (n, 1) amplitudes on grid and the
+    oscillator settings the metrics list."""
+    echo = {"mass": osc.mass, "damping": osc.damping,
+            "stiffness": osc.stiffness, "force_amplitude": osc.force_amplitude}
+    return osc_mod.sweep_oscillator(osc, grid), echo
+
+
+def beam_truth(spec: beam_mod.BeamSpec, grid: osc_mod.FrequencyGrid,
+               damping: tuple[float, float]) -> tuple[np.ndarray, dict]:
+    """Experiment 2's ground truth: the (n, 3) per-axis displacement maxima
+    of the FEM sweep on grid and the beam settings the metrics list."""
+    echo = {
+        "length": spec.length,
+        "width": spec.section.width, "height": spec.section.height,
+        "youngs_modulus": spec.material.youngs_modulus,
+        "poisson_ratio": spec.material.poisson_ratio,
+        "density": spec.material.density,
+        "n_elements": spec.n_elements,
+        "axis_direction": [float(v) for v in spec.axis_direction],
+        "tip_load": [float(v) for v in spec.tip_load],
+        "alpha": damping[0], "beta": damping[1],
+    }
+    return beam_mod.frequency_sweep(spec, grid, damping), echo
+
+
+def run_experiment(experiment: str, freqs, outputs, echo: dict, layer_sizes,
+                   train_config: mlp.TrainConfig, split_seed: int, test_fraction: float,
+                   record: bool) -> ExperimentReport:
+    """Train on (freqs, outputs) and report against them.  echo holds the
+    physical settings (oscillator_truth's or beam_truth's), which the metrics
+    list after the experiment and before the grid, split and training
+    settings; record as in fit_surrogate."""
+    fit = fit_surrogate(experiment, freqs, outputs, layer_sizes, train_config, split_seed,
                         test_fraction, record)
     pred_out = predict_batch(fit.model, freqs)
     is_test = np.zeros(len(freqs), dtype=bool)
     is_test[fit.test_idx] = True
-    rel_rmse = _metrics_test_rmse(true_out, pred_out, is_test)
+    rel_rmse = _metrics_test_rmse(outputs, pred_out, is_test)
 
-    k = true_out.shape[1]
+    k = outputs.shape[1]
     if experiment == "example1":
-        true_idx = [np.array([int(np.argmax(true_out[:, 0]))])]
+        true_idx = [np.array([int(np.argmax(outputs[:, 0]))])]
         pred_idx = [np.array([int(np.argmax(pred_out[:, 0]))])]
         match = [abs(true_idx[0][0] - pred_idx[0][0]) <= PEAK_TOL_STEPS]
         # Relative error at a sharp resonance is hypersensitive to sub-grid
@@ -264,9 +289,9 @@ def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
         peak_f = float(freqs[true_idx[0][0]])
         nearest3 = set(np.argsort(np.abs(freqs - peak_f))[:3].tolist())
         keep = is_test & ~np.isin(np.arange(len(freqs)), list(nearest3))
-        offpeak = float(_metrics_test_rmse(true_out, pred_out, keep)[0])
+        offpeak = float(_metrics_test_rmse(outputs, pred_out, keep)[0])
     else:
-        true_idx = [prominent_peak_indices(true_out[:, c]) for c in range(k)]
+        true_idx = [prominent_peak_indices(outputs[:, c]) for c in range(k)]
         pred_idx = [local_max_indices(pred_out[:, c]) for c in range(k)]
         match = [peaks_matched(true_idx[c], pred_idx[c]) for c in range(k)]
         offpeak = None
@@ -274,17 +299,18 @@ def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
     return ExperimentReport(
         experiment=experiment,
         config={
-            "experiment": experiment, **setup_echo,
+            "experiment": experiment, **echo,
             "grid_start_hz": float(freqs[0]), "grid_stop_hz": float(freqs[-1]),
             "grid_points": len(freqs),
             "test_fraction": test_fraction, "split_seed": split_seed,
-            "architecture": layers,
-            "optimizer": cfg.optimizer, "learning_rate": cfg.learning_rate,
-            "batch_size": cfg.batch_size, "epochs": cfg.epochs, "train_seed": cfg.seed,
+            "architecture": list(layer_sizes),
+            "optimizer": train_config.optimizer, "learning_rate": train_config.learning_rate,
+            "batch_size": train_config.batch_size, "epochs": train_config.epochs,
+            "train_seed": train_config.seed,
             "input_scaling": dataset.LINEAR_MINMAX, "target_scaling": TARGET_SCALING,
         },
         freq_hz=freqs,
-        true_outputs=true_out,
+        true_outputs=outputs,
         pred_outputs=pred_out,
         is_test=is_test,
         train_mse_scaled=fit.train_mse_scaled,
@@ -297,49 +323,3 @@ def _run_pipeline(experiment, freqs, true_out, layer_sizes, train_config,
         model=fit.model,
         history=fit.history,
     )
-
-
-def run_example1(osc: osc_mod.OscillatorParams | None = None,
-                 grid: osc_mod.FrequencyGrid | None = None,
-                 train_config: mlp.TrainConfig | None = None,
-                 split_seed: int = SPLIT_SEED,
-                 layer_sizes=None,
-                 test_fraction: float = TEST_FRACTION,
-                 record: bool = True) -> ExperimentReport:
-    """Oscillator pipeline: analytic sweep -> split -> scale -> train a
-    1-100-100-1 net -> report.  record as in fit_surrogate."""
-    osc = osc or osc_mod.DEFAULT_PARAMS
-    grid = grid or osc_mod.default_grid()
-    echo = {"mass": osc.mass, "damping": osc.damping,
-            "stiffness": osc.stiffness, "force_amplitude": osc.force_amplitude}
-    return _run_pipeline("example1", grid.values, osc_mod.sweep_oscillator(osc, grid),
-                         layer_sizes, train_config, split_seed, test_fraction, echo, record)
-
-
-def run_example2(spec: beam_mod.BeamSpec | None = None,
-                 grid: osc_mod.FrequencyGrid | None = None,
-                 damping: tuple[float, float] | None = None,
-                 train_config: mlp.TrainConfig | None = None,
-                 split_seed: int = SPLIT_SEED,
-                 layer_sizes=None,
-                 test_fraction: float = TEST_FRACTION,
-                 record: bool = True) -> ExperimentReport:
-    """Beam pipeline: FEM frequency sweep -> split -> log10-scaled targets ->
-    Adam-trained 1-200-200-3 net -> report.  record as in fit_surrogate."""
-    spec = spec or beam_mod.default_spec()
-    grid = grid or beam_mod.default_grid()
-    if damping is None:
-        damping = beam_mod.default_damping(spec)
-    echo = {
-        "length": spec.length,
-        "width": spec.section.width, "height": spec.section.height,
-        "youngs_modulus": spec.material.youngs_modulus,
-        "poisson_ratio": spec.material.poisson_ratio,
-        "density": spec.material.density,
-        "n_elements": spec.n_elements,
-        "axis_direction": [float(v) for v in spec.axis_direction],
-        "tip_load": [float(v) for v in spec.tip_load],
-        "alpha": damping[0], "beta": damping[1],
-    }
-    return _run_pipeline("example2", grid.values, beam_mod.frequency_sweep(spec, grid, damping),
-                         layer_sizes, train_config, split_seed, test_fraction, echo, record)

@@ -3,6 +3,8 @@ import math
 import subprocess
 import sys
 
+import numpy as np
+import numpy.testing as npt
 import pytest
 import scipy.linalg
 
@@ -256,9 +258,10 @@ def test_train_meta_matches_pipeline_meta(tmp_path):
     assert cli.main(["generate", "--experiment", "example1", "--out", str(data), *grid]) == 0
     assert cli.main(["train", "--data", str(data), "--out-model", str(model),
                      "--hidden", "6", "--epochs", "3", "--seed", "7"]) == 0
-    report = surrogate.run_example1(
-        grid=osc.FrequencyGrid.uniform(0.5, 8.0, 50),
-        train_config=mlp.TrainConfig(epochs=3, seed=7), split_seed=7, layer_sizes=[1, 6, 1])
+    grid_hz = osc.FrequencyGrid.uniform(0.5, 8.0, 50)
+    outputs, echo = surrogate.oscillator_truth(osc.DEFAULT_PARAMS, grid_hz)
+    report = surrogate.run_experiment("example1", grid_hz.values, outputs, echo, [1, 6, 1],
+                                      mlp.TrainConfig(epochs=3, seed=7), 7, 0.2, record=False)
     meta = json.loads(model.read_text())["meta"]
     assert meta == report.model.meta
     assert meta["freq_min_hz"] > 0.5
@@ -300,6 +303,27 @@ def test_predict_grid_mode_writes_curve(tmp_path, beam_model):
     lines = out.read_text().splitlines()
     assert lines[0] == "freq_hz,pred_1,pred_2,pred_3"
     assert len(lines) == 21
+
+
+def test_predict_without_meta_uses_the_input_scalers_range(tmp_path, capsys, beam_model):
+    # a model file without meta used to predict over 0-1 Hz in grid mode and
+    # to warn of the trained range [None, None]
+    doc = json.loads(beam_model.read_text())
+    del doc["meta"]
+    bare = tmp_path / "bare.model"
+    bare.write_text(json.dumps(doc))
+    out = tmp_path / "curve.csv"
+    runs = []
+    for model in (beam_model, bare):
+        assert cli.main(["predict", "--model", str(model), "--grid-points", "5",
+                         "--out", str(out)]) == 0
+        assert cli.main(["predict", "--model", str(model), "--freq", "500"]) == 0
+        runs.append((out.read_text(), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    lo, hi = doc["input_scaler"]["col_min"][0], doc["input_scaler"]["col_max"][0]
+    freqs = [float(ln.split(",")[0]) for ln in runs[1][0].splitlines()[1:]]
+    assert (freqs[0], freqs[-1]) == (lo, hi) and lo > 1.0
+    assert f"outside the trained range [{lo}, {hi}] Hz" in runs[1][1].err
 
 
 def test_predict_corrupt_model_exits_5(tmp_path, beam_model):
@@ -347,6 +371,11 @@ def _corrupt(doc, case):
         sc["col_min"], sc["col_max"] = sc["col_max"], sc["col_min"]
     elif case == "nan_floor":
         doc["target_scaler"]["floor_eps"] = math.nan
+    elif case == "log10_input_scaler":
+        doc["input_scaler"] = {"scheme": "log10", "floor_eps": 1e-18}
+    elif case == "two_column_input_scaler":
+        sc = doc["input_scaler"]
+        sc["col_min"], sc["col_max"] = sc["col_min"] * 2, sc["col_max"] * 2
     elif case == "inf_floor":
         doc["target_scaler"]["floor_eps"] = math.inf
     else:
@@ -357,7 +386,8 @@ def _corrupt(doc, case):
                                   "extra_weights", "extra_biases", "relu",
                                   "null_input_scaler", "no_target_scaler",
                                   "nan_weight", "inf_bias", "inf_col_max", "nan_col_min",
-                                  "inverted_bounds", "nan_floor", "inf_floor",
+                                  "inverted_bounds", "log10_input_scaler",
+                                  "two_column_input_scaler", "nan_floor", "inf_floor",
                                   "negative_floor"])
 def test_predict_malformed_model_exits_5(tmp_path, capsys, beam_model, case):
     # each of these used to load, and predict printed a number (nan for nan_weight)
@@ -441,26 +471,63 @@ def test_eval_unwritable_history_exits_2_before_work(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("case", ["empty_out_dir", "out_dir_is_file", "plot", "history"])
+# Each exits 2 before training starts (--hidden and --test-fraction only
+# after the ground-truth sweep).
+REJECTED_EVAL_FLAGS = ["--width=-1", "--alpha=nan", "--lr=0", "--hidden=0",
+                       "--test-fraction=1.5", "--batch-size=0"]
+
+
+@pytest.mark.parametrize("case", ["empty_out_dir", "out_dir_is_file", "out_dir_under_file",
+                                  "plot", "history", *REJECTED_EVAL_FLAGS])
 def test_eval_rejected_paths_exit_2_and_leave_no_directory(tmp_path, capsys, monkeypatch, case):
-    # --out-dir "" used to exit 3 (FileNotFoundError), and a bad --plot or
-    # --history used to leave the freshly made --out-dir behind
+    # --out-dir "" and an --out-dir under a file used to exit 3 (an OSError
+    # from makedirs), and a bad --plot, --history or flag used to leave the
+    # freshly made --out-dir behind
     def no_work(*args, **kwargs):
-        raise AssertionError("work started before the output paths were checked")
+        raise AssertionError("work started before the arguments were checked")
 
     monkeypatch.setattr(osc, "sweep_oscillator", no_work)
+    monkeypatch.setattr(mlp, "train", no_work)
     out_dir = tmp_path / "report"
-    missing = str(tmp_path / "missing" / "x")
     argv = ["eval", "--experiment", "example1", "--out-dir", str(out_dir)]
-    if case == "empty_out_dir":
+    left = []
+    if case in REJECTED_EVAL_FLAGS:
+        argv = ["eval", "--experiment", "example2", "--n-elements", "8", "--grid-points", "30",
+                "--out-dir", str(out_dir), case]
+    elif case == "empty_out_dir":
         argv[-1] = ""
     elif case == "out_dir_is_file":
         out_dir.write_text("")
+        left = ["report"]
+    elif case == "out_dir_under_file":
+        (tmp_path / "afile").write_text("")
+        argv[-1] = str(tmp_path / "afile" / "x")
+        left = ["afile"]
     else:
-        argv += [f"--{case}", missing]
+        argv += [f"--{case}", str(tmp_path / "missing" / "x")]
     assert cli.main(argv) == 2
-    assert "output" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == (["report"] if case == "out_dir_is_file" else [])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and (case in REJECTED_EVAL_FLAGS or "output" in err)
+    assert [p.name for p in tmp_path.iterdir()] == left
+
+
+@pytest.mark.parametrize("experiment, sizes", [
+    ("example1", []),
+    ("example2", ["--n-elements", "8", "--grid-points", "30"]),
+])
+def test_eval_ground_truth_is_generates_bit_for_bit(tmp_path, experiment, sizes):
+    data = tmp_path / "truth.csv"
+    assert cli.main(["generate", "--experiment", experiment, "--out", str(data), *sizes]) == 0
+    hidden = ["--hidden", "8"] if sizes else []
+    assert cli.main(["eval", "--experiment", experiment, "--epochs", "1", *sizes, *hidden,
+                     "--out-dir", str(tmp_path)]) == 0
+    freqs, outputs = dataset.read_csv(data)
+    lines = (tmp_path / f"{experiment}_curves.csv").read_text().splitlines()
+    k = outputs.shape[1]
+    assert lines[0].split(",")[:k + 1] == ["freq_hz"] + [f"true_{c + 1}" for c in range(k)]
+    curves = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    npt.assert_array_equal(curves[:, 0], freqs)
+    npt.assert_array_equal(curves[:, 1:k + 1], outputs)
 
 
 def test_eval_close_bending_planes_tunes_beta_to_first_mode(tmp_path):

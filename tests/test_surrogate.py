@@ -14,12 +14,13 @@ from fem_surrogate import oscillator as osc
 # acceptance suite.
 
 def small_example1(seed=42, epochs=400):
-    return surrogate.run_example1(
-        grid=osc.FrequencyGrid.uniform(0.1, 10.0, 50),
-        train_config=mlp.TrainConfig(optimizer="adam", learning_rate=3e-3,
-                                     batch_size=8, epochs=epochs, seed=seed),
-        split_seed=seed,
-        layer_sizes=[1, 16, 16, 1])
+    grid = osc.FrequencyGrid.uniform(0.1, 10.0, 50)
+    outputs, echo = surrogate.oscillator_truth(osc.DEFAULT_PARAMS, grid)
+    return surrogate.run_experiment(
+        "example1", grid.values, outputs, echo, [1, 16, 16, 1],
+        mlp.TrainConfig(optimizer="adam", learning_rate=3e-3, batch_size=8,
+                        epochs=epochs, seed=seed),
+        split_seed=seed, test_fraction=0.2, record=True)
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +75,10 @@ def test_no_leakage_from_test_targets():
 
     train_cfg = mlp.TrainConfig(optimizer="adam", learning_rate=1e-3,
                                 batch_size=8, epochs=40, seed=5)
-    rep_a = surrogate._run_pipeline("example1", grid.values, outputs, [1, 8, 1],
-                                    train_cfg, split_seed, 0.2, {})
-    rep_b = surrogate._run_pipeline("example1", grid.values, perturbed, [1, 8, 1],
-                                    train_cfg, split_seed, 0.2, {})
+    rep_a = surrogate.run_experiment("example1", grid.values, outputs, {}, [1, 8, 1],
+                                     train_cfg, split_seed, 0.2, record=True)
+    rep_b = surrogate.run_experiment("example1", grid.values, perturbed, {}, [1, 8, 1],
+                                     train_cfg, split_seed, 0.2, record=True)
     # scaler parameters and trained weights depend on the train partition only
     assert rep_a.model.target_scaler.to_dict() == rep_b.model.target_scaler.to_dict()
     for wa, wb in zip(rep_a.model.net.weights, rep_b.model.net.weights):
@@ -241,13 +242,13 @@ def test_example2_small_pipeline_and_svg(tmp_path):
                          material=beam.STEEL, n_elements=8,
                          axis_direction=np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0),
                          tip_load=np.array([0.0, 10.0, 10.0]))
-    rep = surrogate.run_example2(
-        spec=spec,
-        grid=osc.FrequencyGrid.uniform(1.0, 120.0, 60),
-        damping=None,
-        train_config=mlp.TrainConfig(optimizer="adam", learning_rate=3e-3,
-                                     batch_size=8, epochs=300, seed=42),
-        layer_sizes=[1, 24, 24, 3])
+    grid = osc.FrequencyGrid.uniform(1.0, 120.0, 60)
+    outputs, echo = surrogate.beam_truth(spec, grid, beam.default_damping(spec))
+    rep = surrogate.run_experiment(
+        "example2", grid.values, outputs, echo, [1, 24, 24, 3],
+        mlp.TrainConfig(optimizer="adam", learning_rate=3e-3, batch_size=8,
+                        epochs=300, seed=42),
+        split_seed=42, test_fraction=0.2, record=True)
     assert rep.true_outputs.shape == (60, 3)
     assert rep.config["target_scaling"] == "log10"
     assert rep.config["alpha"] == 0.0 and rep.config["beta"] > 0.0
