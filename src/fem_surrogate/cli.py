@@ -115,40 +115,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, parser) -> argparse.Namespace:
-    """Fill unset (None) options from the JSON config file, if any.
-
-    Each value goes through its option's own argparse type and choices, as
-    the flag text would (a JSON list is joined with commas first).
-    """
-    if getattr(args, "config", None) is None:
-        return args
+def _config_flags(path) -> list[str]:
+    """The JSON object in path as '--key=value' flags: '_' in a key reads
+    as '-', a list is joined with commas, a null is skipped.  The '=' form
+    keeps a value such as '-1e-3' attached to its option."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {args.config} must hold a JSON object")
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
-    for key, val in doc.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None or not hasattr(args, action.dest):
-            raise ConfigError(f"config key {key!r} is not a known option")
-        if getattr(args, action.dest) is not None or val is None:
-            continue
-        text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
-        try:
-            val = action.type(text) if action.type else text
-        except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: invalid value {text!r} ({exc})") from exc
-        if action.choices is not None and val not in action.choices:
-            raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}")
-        setattr(args, action.dest, val)
-    return args
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return [f"--{key.replace('_', '-')}="
+            + (",".join(map(str, val)) if isinstance(val, list) else str(val))
+            for key, val in doc.items() if val is not None]
+
+
+def _given(**values) -> dict:
+    """The values that were set, by name: the fields a flag replaces."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _seed(args) -> int:
@@ -162,7 +149,11 @@ def _seed(args) -> int:
 
 
 def _test_fraction(args) -> float:
-    return surrogate.TEST_FRACTION if args.test_fraction is None else args.test_fraction
+    if args.test_fraction is None:
+        return surrogate.TEST_FRACTION
+    if not 0.0 < args.test_fraction < 1.0:
+        raise ConfigError(f"--test-fraction must be in (0, 1), got {args.test_fraction}")
+    return args.test_fraction
 
 
 def _layer_sizes(args, layers) -> list[int]:
@@ -175,16 +166,18 @@ def _layer_sizes(args, layers) -> list[int]:
     except ValueError:
         raise ConfigError(
             f"--hidden must be comma-separated integers, got {args.hidden!r}") from None
+    if any(s < 1 for s in hidden):
+        raise ConfigError(f"--hidden sizes must be >= 1, got {args.hidden!r}")
     return [layers[0]] + hidden + [layers[-1]]
 
 
 def _train_config(args, experiment, seed) -> mlp.TrainConfig:
     """The experiment's training recipe, with --optimizer, --lr,
     --batch-size and --epochs in place of its values when given."""
-    given = {"optimizer": args.optimizer, "learning_rate": args.lr,
-             "batch_size": args.batch_size, "epochs": args.epochs}
     cfg = mlp.TrainConfig(epochs=surrogate.EXPERIMENTS[experiment]["epochs"], seed=seed)
-    return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
+    return dataclasses.replace(cfg, **_given(
+        optimizer=args.optimizer, learning_rate=args.lr, batch_size=args.batch_size,
+        epochs=args.epochs))
 
 
 def _check_out_path(path, new_dir=None) -> None:
@@ -233,52 +226,33 @@ def _grid(start, stop, n) -> osc_mod.FrequencyGrid:
 
 
 def _grid_or(args, default_tuple) -> osc_mod.FrequencyGrid:
-    start, stop, n = default_tuple
-    if args.grid_start is not None:
-        start = args.grid_start
-    if args.grid_stop is not None:
-        stop = args.grid_stop
-    if args.grid_points is not None:
-        n = args.grid_points
-    return _grid(start, stop, n)
+    given = (args.grid_start, args.grid_stop, args.grid_points)
+    return _grid(*(d if v is None else v for v, d in zip(given, default_tuple)))
 
 
 def _osc_params(args) -> osc_mod.OscillatorParams:
-    d = osc_mod.DEFAULT_PARAMS
-    return osc_mod.OscillatorParams(
-        mass=d.mass if args.mass is None else args.mass,
-        damping=d.damping if args.damping_c is None else args.damping_c,
-        stiffness=d.stiffness if args.stiffness is None else args.stiffness,
-        force_amplitude=(d.force_amplitude if args.force_amplitude is None
-                         else args.force_amplitude),
-    )
+    return dataclasses.replace(osc_mod.DEFAULT_PARAMS, **_given(
+        mass=args.mass, damping=args.damping_c, stiffness=args.stiffness,
+        force_amplitude=args.force_amplitude))
 
 
 def _beam_spec(args) -> beam_mod.BeamSpec:
-    d = beam_mod.default_spec()
-    axis = d.axis_direction
-    if args.axis is not None:
-        axis = np.asarray(args.axis, dtype=float)
+    """The default beam, with each field whose flag is given replaced; the
+    spec and its section and material check their fields as they are built."""
+    axis = args.axis
+    if axis is not None:
         norm = np.linalg.norm(axis)
         if norm == 0.0:
             raise ConfigError("--axis must be a nonzero vector")
-        axis = axis / norm
-    return beam_mod.BeamSpec(
-        length=d.length if args.length is None else args.length,
-        section=beam_mod.CrossSection(
-            width=d.section.width if args.width is None else args.width,
-            height=d.section.height if args.height is None else args.height),
-        material=beam_mod.Material(
-            youngs_modulus=(d.material.youngs_modulus if args.youngs_modulus is None
-                            else args.youngs_modulus),
-            poisson_ratio=(d.material.poisson_ratio if args.poisson_ratio is None
-                           else args.poisson_ratio),
-            density=d.material.density if args.density is None else args.density),
-        n_elements=d.n_elements if args.n_elements is None else args.n_elements,
-        axis_direction=axis,
-        tip_load=(d.tip_load if args.tip_load is None
-                  else np.asarray(args.tip_load, dtype=float)),
-    )
+        axis = np.asarray(axis, dtype=float) / norm
+    d = beam_mod.default_spec()
+    return dataclasses.replace(
+        d, **_given(length=args.length, n_elements=args.n_elements,
+                    axis_direction=axis, tip_load=args.tip_load),
+        section=dataclasses.replace(d.section, **_given(width=args.width, height=args.height)),
+        material=dataclasses.replace(d.material, **_given(
+            youngs_modulus=args.youngs_modulus, poisson_ratio=args.poisson_ratio,
+            density=args.density)))
 
 
 def _damping_or_default(args, spec) -> tuple[float, float]:
@@ -353,24 +327,25 @@ def cmd_predict(args) -> int:
     # The trained range: the input scaler's, which predict flags against.
     lo, hi = float(input_scaler.col_min[0]), float(input_scaler.col_max[0])
     if args.freq is not None:
-        out, extrapolated = surrogate.predict(model, args.freq)
-        if extrapolated:
-            print(f"warning: {args.freq} Hz is outside the trained range "
-                  f"[{lo}, {hi}] Hz; extrapolating", file=sys.stderr)
-        print(" ".join("%.17g" % v for v in out))
-        return 0
-
-    if args.out is None:
+        grid = osc_mod.FrequencyGrid([args.freq])
+    elif args.out is None:
         raise ConfigError("grid mode needs --out for the curve CSV")
-    _check_out_path(args.out)
-    lo = lo if args.grid_start is None else args.grid_start
-    hi = hi if args.grid_stop is None else args.grid_stop
-    n = 200 if args.grid_points is None else args.grid_points
-    grid = _grid(lo, hi, n)
-    pred = surrogate.predict_batch(model, grid.values)
+    else:
+        _check_out_path(args.out)
+        grid = _grid_or(args, (lo, hi, 200))
+    freqs = grid.values
+    if freqs[0] < lo or freqs[-1] > hi:
+        what = (f"{freqs[0]} Hz is" if len(freqs) == 1
+                else f"grid [{freqs[0]}, {freqs[-1]}] Hz reaches")
+        print(f"warning: {what} outside the trained range [{lo}, {hi}] Hz; extrapolating",
+              file=sys.stderr)
+    pred = surrogate.predict_batch(model, freqs)
+    if args.freq is not None:
+        print(" ".join("%.17g" % v for v in pred[0]))
+        return 0
     header = ["freq_hz"] + [f"pred_{c + 1}" for c in range(pred.shape[1])]
-    dataset.write_rows(args.out, header, np.column_stack([grid.values, pred]))
-    print(f"rows={n} out={args.out}")
+    dataset.write_rows(args.out, header, np.column_stack([freqs, pred]))
+    print(f"rows={len(freqs)} out={args.out}")
     return 0
 
 
@@ -415,9 +390,12 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _merge_config(args, parser)
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file's flags go before the command line's, whose win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
         return _COMMANDS[args.command](args)
     except FemSurrogateError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,8 +101,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
             raise InvalidParams(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if not self.learning_rate > 0.0:
-            raise InvalidParams(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise InvalidParams(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise InvalidParams(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:

@@ -44,12 +44,10 @@ class LdltFactors:
     the pivot D[k, k] and its columns 1..b the multipliers L[k+1..k+b, k],
     written over the entries of A that step k was the last to read; the b
     zero rows on either side are margins that let the first and last steps
-    run unchanged.  ``d[s, k]`` is the pivot D[k, k] and ``l[s, k, t] =
-    L[k + 1 + t, k]``, the multiple of row k subtracted from row k+1+t (zero
-    past n), both batch-major views of ``packed``.  ``tol[s]`` is the
-    member's pivot tolerance and ``bad[s]`` its first pivot below it, -1
-    when there is none; a bad member's factors are meaningless, the other
-    members' are unaffected.
+    run unchanged.  ``d[s, k]`` is the pivot D[k, k], a batch-major view of
+    ``packed``.  ``tol[s]`` is the member's pivot tolerance and ``bad[s]``
+    its first pivot below it, -1 when there is none; a bad member's factors
+    are meaningless, the other members' are unaffected.
     """
 
     packed: np.ndarray
@@ -67,10 +65,6 @@ class LdltFactors:
     @property
     def d(self) -> np.ndarray:
         return self.packed[self.b:self.b + self.n, :, 0].T
-
-    @property
-    def l(self) -> np.ndarray:
-        return self.packed[self.b:self.b + self.n, :, 1:].transpose(1, 0, 2)
 
     def failure(self, s: int) -> str | None:
         """Why member s is singular, or None when it is not."""

@@ -295,6 +295,24 @@ def test_predict_out_of_range_warns_but_succeeds(beam_model):
     assert len(res.stdout.split()) == 3
 
 
+@pytest.mark.parametrize("freq", ["nan", "inf", "-inf", "-5"])
+def test_predict_freq_outside_the_grid_domain_exits_2(capsys, beam_model, freq):
+    # each used to print numbers (nan, or an extrapolation) and exit 0
+    assert cli.main(["predict", "--model", str(beam_model), f"--freq={freq}"]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: grid frequencies must be")
+
+
+def test_predict_grid_mode_warns_when_extrapolating(tmp_path, capsys, beam_model):
+    out = tmp_path / "curve.csv"
+    assert cli.main(["predict", "--model", str(beam_model), "--grid-start", "0",
+                     "--grid-stop", "1000", "--grid-points", "11", "--out", str(out)]) == 0
+    stdout, err = capsys.readouterr()
+    assert err.startswith("warning: grid [0.0, 1000.0] Hz reaches outside the trained range")
+    assert stdout == f"rows=11 out={out}\n"
+    assert len(out.read_text().splitlines()) == 12
+
+
 def test_predict_grid_mode_writes_curve(tmp_path, beam_model):
     out = tmp_path / "curve.csv"
     res = run_cli("predict", "--model", str(beam_model), "--grid-start", "5",
@@ -471,9 +489,8 @@ def test_eval_unwritable_history_exits_2_before_work(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-# Each exits 2 before training starts (--hidden and --test-fraction only
-# after the ground-truth sweep).
-REJECTED_EVAL_FLAGS = ["--width=-1", "--alpha=nan", "--lr=0", "--hidden=0",
+# Each exits 2 before training starts.
+REJECTED_EVAL_FLAGS = ["--width=-1", "--alpha=nan", "--lr=0", "--lr=inf", "--hidden=0",
                        "--test-fraction=1.5", "--batch-size=0"]
 
 
@@ -509,6 +526,31 @@ def test_eval_rejected_paths_exit_2_and_leave_no_directory(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error: ") and (case in REJECTED_EVAL_FLAGS or "output" in err)
     assert [p.name for p in tmp_path.iterdir()] == left
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [("hidden", "0"), ("hidden", "8,0"),
+                                        ("test_fraction", "1.5"), ("test_fraction", "0")])
+@pytest.mark.parametrize("experiment", ["example1", "example2"])
+def test_bad_recipe_exits_2_before_the_ground_truth(tmp_path, capsys, monkeypatch,
+                                                    experiment, key, value, source):
+    # --hidden and --test-fraction used to be rejected only by mlp.init and
+    # dataset.split, after the whole sweep
+    def no_work(*args, **kwargs):
+        raise AssertionError("ground truth built before the recipe was checked")
+
+    monkeypatch.setattr(surrogate, "oscillator_truth", no_work)
+    monkeypatch.setattr(surrogate, "beam_truth", no_work)
+    argv = ["eval", "--experiment", experiment, "--out-dir", str(tmp_path / "report")]
+    if source == "flag":
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    assert f"--{key.replace('_', '-')} " in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("experiment, sizes", [
@@ -578,11 +620,13 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, osc_csv):
     ({"hidden": [10, "x"], "epochs": 2}, 2),
     ({"optimizer": "rmsprop"}, 2),
     ({"axis": [1, 0]}, 2),
+    ({"tip_load": [0, -5, 5]}, 0),
+    ({"alpha": "-1e-3"}, 2),
 ])
 def test_config_values_convert_like_flags(tmp_path, osc_csv, doc, rc):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(doc))
-    if {"axis", "tip_load"} & doc.keys():
+    if {"axis", "tip_load", "alpha"} & doc.keys():
         args = ["generate", "--experiment", "example2", "--out", str(tmp_path / "b.csv"),
                 "--grid-points", "5", "--n-elements", "4"]
     else:
@@ -599,7 +643,7 @@ def test_config_file_unknown_key_exits_2(tmp_path, osc_csv):
     res = run_cli("train", "--data", str(osc_csv),
                   "--out-model", str(tmp_path / "m.model"), "--config", str(cfg))
     assert res.returncode == 2
-    assert "not_a_flag" in res.stderr
+    assert "not-a-flag" in res.stderr
 
 
 def test_cli_import_loads_no_scipy():

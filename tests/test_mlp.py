@@ -336,8 +336,9 @@ def test_train_without_record_reports_divergence_epoch():
 def test_train_config_validation():
     with pytest.raises(InvalidParams):
         mlp.TrainConfig(optimizer="rmsprop")
-    with pytest.raises(InvalidParams):
-        mlp.TrainConfig(learning_rate=0.0)
+    for lr in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidParams):
+            mlp.TrainConfig(learning_rate=lr)
     with pytest.raises(InvalidParams):
         mlp.TrainConfig(batch_size=0)
     with pytest.raises(InvalidParams):
