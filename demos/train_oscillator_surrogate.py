@@ -13,7 +13,7 @@ report = surrogate.run_experiment(
     "example1", grid.values, outputs, echo, surrogate.EXPERIMENTS["example1"]["layers"],
     mlp.TrainConfig(optimizer="adam", learning_rate=1e-3, batch_size=16,
                     epochs=4000, seed=surrogate.SPLIT_SEED),
-    surrogate.SPLIT_SEED, surrogate.TEST_FRACTION, record=False)
+    surrogate.TEST_FRACTION, record=False)
 
 print(f"trained on {int((~report.is_test).sum())} points, "
       f"held out {int(report.is_test.sum())}")

@@ -212,13 +212,10 @@ def section_frame(axis, section_ref=None) -> np.ndarray:
 
 @dataclass
 class BeamModel:
-    """Mesh, constraint, and load data derived from a BeamSpec."""
+    """Mesh and load data derived from a BeamSpec."""
 
     nodes: np.ndarray        # (n_nodes, 3) coordinates, m
-    elements: np.ndarray     # (n_elements, 2) node index pairs
-    fixed_dofs: np.ndarray   # global DOF indices clamped to zero
     load: np.ndarray         # (n_dof,) nodal force amplitudes
-    frame: np.ndarray        # (3, 3) local axes as rows
 
     @property
     def n_nodes(self) -> int:
@@ -228,24 +225,16 @@ class BeamModel:
     def n_dof(self) -> int:
         return 6 * self.n_nodes
 
-    @property
-    def free_dofs(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.n_dof), self.fixed_dofs)
-
 
 def build_mesh(spec: BeamSpec) -> BeamModel:
-    """Uniform 1D mesh along axis_direction; node 0 fully clamped; the tip
-    load goes on the translational DOFs of the last node."""
+    """Uniform 1D mesh along axis_direction from node 0; the tip load goes
+    on the translational DOFs of the last node."""
     n = spec.n_elements
     t = np.linspace(0.0, spec.length, n + 1)
     nodes = t[:, None] * spec.axis_direction[None, :]
-    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    fixed = np.arange(6)
     load = np.zeros(6 * (n + 1))
     load[6 * n: 6 * n + 3] = spec.tip_load
-    frame = section_frame(spec.axis_direction, spec.section_ref)
-    return BeamModel(nodes=nodes, elements=elements, fixed_dofs=fixed,
-                     load=load, frame=frame)
+    return BeamModel(nodes=nodes, load=load)
 
 
 def element_matrices(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -305,14 +294,15 @@ def element_matrices(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     return k, m
 
 
-def assemble(model: BeamModel, spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
+def assemble(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     """Global K, M over all DOFs (constraints not yet applied) in upper band
     storage (n_dof, 12), row i holding A[i, i..i+11].  Element e joins nodes
     e and e+1, DOFs 6e..6e+11, so its block is one slice-add into band rows
     6e..6e+11, in element order."""
+    frame = section_frame(spec.axis_direction, spec.section_ref)
     rot = np.zeros((12, 12))
     for b in range(4):
-        rot[3 * b: 3 * b + 3, 3 * b: 3 * b + 3] = model.frame
+        rot[3 * b: 3 * b + 3, 3 * b: 3 * b + 3] = frame
 
     k_loc, m_loc = element_matrices(spec)
     k_glob = rot.T @ k_loc @ rot
@@ -328,9 +318,10 @@ def assemble(model: BeamModel, spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     k_blk = np.where(inside, k_glob[r, np.minimum(r + t, 11)], 0.0)
     m_blk = np.where(inside, m_glob[r, np.minimum(r + t, 11)], 0.0)
 
-    kb = np.zeros((model.n_dof, 12))
-    mb = np.zeros((model.n_dof, 12))
-    for i in model.elements[:, 0]:
+    n_dof = 6 * (spec.n_elements + 1)
+    kb = np.zeros((n_dof, 12))
+    mb = np.zeros((n_dof, 12))
+    for i in range(spec.n_elements):
         kb[6 * i: 6 * i + 12] += k_blk
         mb[6 * i: 6 * i + 12] += m_blk
     return kb, mb
@@ -339,14 +330,17 @@ def assemble(model: BeamModel, spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class ReducedSystem:
     """Free-DOF system after clamping node 0, K, M and C in upper band
-    storage (n_free, b+1), with the map back to full DOF indices."""
+    storage (n_free, b+1): the full system without its first 6 DOFs."""
 
     kb: np.ndarray
     mb: np.ndarray
     cb: np.ndarray | None
     f: np.ndarray
-    free_dofs: np.ndarray
-    n_full: int
+
+    @property
+    def free_dofs(self) -> np.ndarray:
+        """The full DOF index of each free DOF."""
+        return np.arange(6, 6 + self.f.size)
 
     # dense copies, for oracles that need the full matrices
     @property
@@ -360,11 +354,6 @@ class ReducedSystem:
     @property
     def c(self) -> np.ndarray | None:
         return None if self.cb is None else band_to_dense(self.cb)
-
-    def expand(self, u: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.n_full, dtype=u.dtype)
-        full[self.free_dofs] = u
-        return full
 
 
 def rayleigh_damping(k, m, alpha: float, beta: float) -> np.ndarray:
@@ -441,21 +430,19 @@ def harmonic_solve(kb, mb, cb, f, freq_hz: float) -> np.ndarray:
     return u[0].astype(complex, copy=False)
 
 
-def max_displacements(u, model: BeamModel) -> np.ndarray:
+def max_displacements(u) -> np.ndarray:
     """Per global axis, the maximum of |u_axis| over all nodes (translations
-    only; clamped DOFs contribute zero).
+    only; the clamped node's zeros never exceed a magnitude, so it is left
+    out).
 
-    u holds free-DOF values, one solution (n_free,) or a batch
-    (C, n_free); the result is (3,) or (C, 3).
+    u holds free-DOF values, 6 per free node, one solution (n_free,) or a
+    batch (C, n_free); the result is (3,) or (C, 3).
     """
     u = np.asarray(u)
-    free = model.free_dofs
-    if u.ndim not in (1, 2) or u.shape[-1] != free.size:
+    if u.ndim not in (1, 2) or u.shape[-1] == 0 or u.shape[-1] % 6:
         raise DimensionMismatch(
-            f"expected {free.size} free-DOF values per row, got shape {u.shape}")
-    full = np.zeros(u.shape[:-1] + (model.n_dof,), dtype=complex)
-    full[..., free] = u
-    return np.abs(full.reshape(*u.shape[:-1], -1, 6)[..., :3]).max(axis=-2)
+            f"expected 6 free-DOF values per free node in each row, got shape {u.shape}")
+    return np.abs(u.reshape(*u.shape[:-1], -1, 6)[..., :3]).max(axis=-2)
 
 
 # --- frequency sweep ---------------------------------------------------------
@@ -466,9 +453,8 @@ def reduced_system(spec: BeamSpec, damping: tuple[float, float] | None = None,
     (alpha, beta) is given.  Node 0 is the clamped node, and band rows from
     6 on never reach a column below 6, so the clamp drops the first 6 rows."""
     model = build_mesh(spec)
-    kb, mb = assemble(model, spec)
-    red = ReducedSystem(kb=kb[6:], mb=mb[6:], cb=None, f=model.load[6:],
-                        free_dofs=model.free_dofs, n_full=model.n_dof)
+    kb, mb = assemble(spec)
+    red = ReducedSystem(kb=kb[6:], mb=mb[6:], cb=None, f=model.load[6:])
     if damping is not None:
         red.cb = rayleigh_damping(red.kb, red.mb, *damping)
     return model, red
@@ -484,13 +470,13 @@ def frequency_sweep(spec: BeamSpec, grid: FrequencyGrid,
     A singular frequency does not stop the sweep; every failure is collected
     and one Singular names up to five of them.
     """
-    model, red = reduced_system(spec, damping)
+    _, red = reduced_system(spec, damping)
     bands = (red.kb, red.mb, red.cb)
     freqs = grid.values
     rows, failures = [], []
     for start in range(0, freqs.size, _BATCH):
         u, failed = _solve_frequencies(bands, red.f, freqs[start:start + _BATCH])
-        rows.append(max_displacements(u, model))
+        rows.append(max_displacements(u))
         failures += failed
     if failures:
         raise Singular(f"{len(failures)} sweep frequencies failed ({'; '.join(failures[:5])})")

@@ -21,12 +21,18 @@ from . import oscillator as osc_mod
 from . import surrogate
 from .errors import ConfigError, DataError, FemSurrogateError
 
-# Memory per grid point, the largest of the pipelines: the full-grid forward
-# pass through the widest default layer (200 units) holds up to four
-# float64 arrays of that width (5.3 kB per point measured), the CSV rows
-# under 1 KiB of Python objects and text (0.3 kB measured).  --grid-points
-# is bounded by the beam model's memory budget.
-GRID_POINT_BYTES = 8 * 4 * 200 + 1024
+
+def _grid_point_bytes(widest: int) -> int:
+    """Memory per grid point, the largest of the pipelines: the full-grid
+    forward pass through the widest layer (taken as at least the default
+    200 units) holds up to four float64 arrays of that width (5.3 kB per
+    point measured at 200), the CSV rows under 1 KiB of Python objects and
+    text (0.3 kB measured)."""
+    return 8 * 4 * max(200, widest) + 1024
+
+
+# --grid-points is bounded by the beam model's memory budget.
+GRID_POINT_BYTES = _grid_point_bytes(200)
 MAX_GRID_POINTS = beam_mod.MEMORY_BUDGET // GRID_POINT_BYTES
 
 
@@ -39,7 +45,7 @@ def _vector3(text: str) -> list[float]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fem-surrogate",
+        prog="fem-surrogate", allow_abbrev=False,
         description="Train and evaluate MLP surrogates of frequency-response curves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -86,27 +92,25 @@ def build_parser() -> argparse.ArgumentParser:
     training.add_argument("--epochs", type=int, default=None)
     training.add_argument("--test-fraction", type=float, default=None)
 
-    p = sub.add_parser("generate", parents=[common, grid, osc, geom],
+    p = sub.add_parser("generate", parents=[common, grid, osc, geom], allow_abbrev=False,
                        help="write a ground-truth sweep CSV")
     p.add_argument("--experiment", choices=["example1", "example2"], required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", parents=[common, training],
-                       help="train a surrogate on a sweep CSV")
-    p.add_argument("--experiment", choices=["example1", "example2"], default=None,
-                   help="defaults bundle; inferred from column count if omitted")
+    p = sub.add_parser("train", parents=[common, training], allow_abbrev=False,
+                       help="train a surrogate on a sweep CSV; its column count picks the recipe")
     p.add_argument("--data", required=True)
     p.add_argument("--out-model", required=True)
     p.add_argument("--history", default=None, help="optional epoch,mse CSV path")
 
-    p = sub.add_parser("predict", parents=[common, grid],
+    p = sub.add_parser("predict", parents=[common, grid], allow_abbrev=False,
                        help="evaluate a saved model at one frequency or on a grid")
     p.add_argument("--model", required=True)
     p.add_argument("--freq", type=float, default=None)
     p.add_argument("--out", default=None, help="curve CSV path for grid mode")
 
     p = sub.add_parser("eval", parents=[common, grid, osc, geom, training],
-                       help="run a full pipeline and write report artifacts")
+                       allow_abbrev=False, help="run a full pipeline and write report artifacts")
     p.add_argument("--experiment", choices=["example1", "example2"], required=True)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--plot", default=None, help="optional SVG path")
@@ -156,9 +160,11 @@ def _test_fraction(args) -> float:
     return args.test_fraction
 
 
-def _layer_sizes(args, layers) -> list[int]:
+def _layer_sizes(args, layers, n_points) -> list[int]:
     """layers, with the sizes from '--hidden 100,100' in place of its hidden
-    layers when given."""
+    layers when given.  A net whose training vectors, or whose forward pass
+    over n_points grid points, would exceed the memory budget is a
+    ConfigError; both are estimates, so nothing is allocated."""
     if args.hidden is None:
         return list(layers)
     try:
@@ -168,7 +174,15 @@ def _layer_sizes(args, layers) -> list[int]:
             f"--hidden must be comma-separated integers, got {args.hidden!r}") from None
     if any(s < 1 for s in hidden):
         raise ConfigError(f"--hidden sizes must be >= 1, got {args.hidden!r}")
-    return [layers[0]] + hidden + [layers[-1]]
+    sizes = [layers[0]] + hidden + [layers[-1]]
+    # training keeps 6 float64 vectors of the parameter count: theta, the
+    # gradient, Adam's m and v, and its 2-row scratch
+    need = max(6 * 8 * mlp._n_params(sizes), n_points * _grid_point_bytes(max(sizes)))
+    if need > beam_mod.MEMORY_BUDGET:
+        raise ConfigError(
+            f"--hidden {args.hidden!r} needs about {need / 2 ** 30:.3g} GiB to train on "
+            f"{n_points} grid points, over the {beam_mod.MEMORY_BUDGET / 2 ** 30:g} GiB budget")
+    return sizes
 
 
 def _train_config(args, experiment, seed) -> mlp.TrainConfig:
@@ -261,20 +275,25 @@ def _damping_or_default(args, spec) -> tuple[float, float]:
     return (args.alpha or 0.0, args.beta or 0.0)
 
 
-def _ground_truth(args) -> tuple[osc_mod.FrequencyGrid, np.ndarray, dict]:
-    """The experiment's grid and its solver's outputs and settings echo on
-    it, each setting from its flag or the experiment's default."""
+def _experiment_grid(args) -> osc_mod.FrequencyGrid:
+    """The experiment's grid, each bound from its flag or the default."""
+    return _grid_or(args, osc_mod.DEFAULT_GRID if args.experiment == "example1"
+                    else beam_mod.DEFAULT_GRID)
+
+
+def _ground_truth(args, grid) -> tuple[np.ndarray, dict]:
+    """The experiment's solver outputs and settings echo on grid, each
+    setting from its flag or the experiment's default."""
     if args.experiment == "example1":
-        grid = _grid_or(args, osc_mod.DEFAULT_GRID)
-        return (grid, *surrogate.oscillator_truth(_osc_params(args), grid))
+        return surrogate.oscillator_truth(_osc_params(args), grid)
     spec = _beam_spec(args)
-    grid = _grid_or(args, beam_mod.DEFAULT_GRID)
-    return (grid, *surrogate.beam_truth(spec, grid, _damping_or_default(args, spec)))
+    return surrogate.beam_truth(spec, grid, _damping_or_default(args, spec))
 
 
 def cmd_generate(args) -> int:
     _check_out_path(args.out)
-    grid, outputs, _ = _ground_truth(args)
+    grid = _experiment_grid(args)
+    outputs, _ = _ground_truth(args, grid)
     dataset.write_csv(args.out, grid.values, outputs)
     print(f"rows={len(grid)} f_min_hz={grid.values[0]:.17g} f_max_hz={grid.values[-1]:.17g} "
           f"out={args.out}")
@@ -296,13 +315,14 @@ def cmd_train(args) -> int:
     if freqs.size == 0:
         raise DataError(f"{args.data} holds no samples")
     k = outputs.shape[1]
-    experiment = args.experiment or ("example1" if k == 1 else "example2")
-    layers = _layer_sizes(args, surrogate.EXPERIMENTS[experiment]["layers"][:-1] + [k])
+    experiment = "example1" if k == 1 else "example2"
+    layers = _layer_sizes(args, surrogate.EXPERIMENTS[experiment]["layers"][:-1] + [k],
+                          freqs.size)
     fit = surrogate.fit_surrogate(experiment, freqs, outputs, layers,
-                                  _train_config(args, experiment, seed), seed,
+                                  _train_config(args, experiment, seed),
                                   _test_fraction(args), record=args.history is not None)
     m = fit.model
-    mlp.save_model(m.net, m.input_scaler, m.target_scaler, args.out_model, meta=m.meta)
+    mlp.save_model(m.net, m.input_scaler, m.target_scaler, args.out_model, m.meta)
 
     if args.history:
         _write_history(args.history, fit.history)
@@ -353,14 +373,14 @@ def cmd_eval(args) -> int:
     _check_out_dir(args.out_dir)
     _check_out_path(args.plot, args.out_dir)
     _check_out_path(args.history, args.out_dir)
-    seed = _seed(args)
-    train_config = _train_config(args, args.experiment, seed)
-    layers = _layer_sizes(args, surrogate.EXPERIMENTS[args.experiment]["layers"])
+    train_config = _train_config(args, args.experiment, _seed(args))
+    grid = _experiment_grid(args)
+    layers = _layer_sizes(args, surrogate.EXPERIMENTS[args.experiment]["layers"], len(grid))
     test_fraction = _test_fraction(args)
-    grid, outputs, echo = _ground_truth(args)
+    outputs, echo = _ground_truth(args, grid)
     # per-epoch losses only for the history CSV
     report = surrogate.run_experiment(args.experiment, grid.values, outputs, echo, layers,
-                                      train_config, seed, test_fraction,
+                                      train_config, test_fraction,
                                       record=args.history is not None)
 
     os.makedirs(args.out_dir, exist_ok=True)

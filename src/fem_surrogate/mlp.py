@@ -127,18 +127,18 @@ class AdamState:
 @dataclass
 class TrainHistory:
     train_mse: list[float] = field(default_factory=list)
-    test_mse: list[float] | None = None
+    test_mse: list[float] = field(default_factory=list)
 
 
 @dataclass
 class TrainSplit:
-    """Scaled training arrays: x (n, d_in), y (n, d_out).  Scaled targets may
-    be negative (log space)."""
+    """Scaled training and held-out arrays: x (n, d_in), y (n, d_out).
+    Scaled targets may be negative (log space)."""
 
     x_train: np.ndarray
     y_train: np.ndarray
-    x_test: np.ndarray | None = None
-    y_test: np.ndarray | None = None
+    x_test: np.ndarray
+    y_test: np.ndarray
 
 
 def init(layer_sizes, seed: int) -> Mlp:
@@ -264,9 +264,9 @@ def adam_step(net: Mlp, grads: Gradients, state: AdamState,
 
 
 def train(net: Mlp, data: TrainSplit, config: TrainConfig,
-          record: bool = True) -> tuple[Mlp, TrainHistory]:
+          record: bool) -> tuple[Mlp, TrainHistory]:
     """Seeded-shuffled minibatch epochs.  With record, appends the full-batch
-    train (and test) MSE to the history after every epoch and raises NanLoss
+    train and test MSE to the history after every epoch and raises NanLoss
     naming the epoch if the loss goes non-finite.  Without it, the history
     stays empty and the per-epoch check is that theta is finite instead; the
     trained parameters are the same bits either way."""
@@ -275,7 +275,6 @@ def train(net: Mlp, data: TrainSplit, config: TrainConfig,
         raise DimensionMismatch(f"x/y sample counts differ: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] == 0:
         raise EmptyBatch("empty training set")
-    has_test = data.x_test is not None and len(data.x_test) > 0
     rng = np.random.default_rng(config.seed)
     state = adam_init(net) if config.optimizer == "adam" else None
     n = x.shape[0]
@@ -283,7 +282,7 @@ def train(net: Mlp, data: TrainSplit, config: TrainConfig,
     batch = min(config.batch_size, n)
     x_batch, y_batch = np.empty((batch,) + x.shape[1:]), np.empty((batch,) + y.shape[1:])
 
-    history = TrainHistory(test_mse=[] if has_test else None)
+    history = TrainHistory()
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises below
         for epoch in range(config.epochs):
             perm = rng.permutation(n)
@@ -304,8 +303,7 @@ def train(net: Mlp, data: TrainSplit, config: TrainConfig,
                 if not np.isfinite(train_loss):
                     raise NanLoss(f"training loss became non-finite at epoch {epoch}")
                 history.train_mse.append(train_loss)
-                if has_test:
-                    history.test_mse.append(mse(forward(net, data.x_test), data.y_test))
+                history.test_mse.append(mse(forward(net, data.x_test), data.y_test))
             elif not np.isfinite(net.theta).all():
                 raise NanLoss(f"parameters became non-finite at epoch {epoch}")
     return net, history
@@ -338,7 +336,7 @@ def grad_check(net: Mlp, x, targets) -> float:
 # --- model persistence -------------------------------------------------------
 
 def save_model(net: Mlp, input_scaler: Scaler, target_scaler: Scaler,
-               path, meta: dict | None = None) -> None:
+               path, meta: dict) -> None:
     """Self-describing JSON document: version, layer sizes, activation
     (always tanh), row-major parameter arrays, and the bundled scalers so
     predictions are self-contained."""
@@ -351,7 +349,7 @@ def save_model(net: Mlp, input_scaler: Scaler, target_scaler: Scaler,
         "biases": [b.tolist() for b in net.biases],
         "input_scaler": input_scaler.to_dict(),
         "target_scaler": target_scaler.to_dict(),
-        "meta": meta or {},
+        "meta": meta,
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(doc, fh, indent=1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NonConvergent, UnboundedResonance
+from .errors import InvalidParams, NonConvergent, SolverError, UnboundedResonance
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,26 @@ def default_grid() -> FrequencyGrid:
 
 
 def amplitude(params: OscillatorParams, freq_hz: float) -> float:
-    """Closed-form steady-state displacement amplitude in meters."""
+    """Closed-form steady-state displacement amplitude in meters.  Raises
+    SolverError when the parameters take it out of double range: a term
+    overflows or divides by zero, or the amplitude comes out non-finite, or
+    0 under a nonzero force."""
     if not (np.isfinite(freq_hz) and freq_hz >= 0.0):
         raise InvalidParams(f"freq_hz must be finite and >= 0, got {freq_hz}")
     w = 2.0 * math.pi * freq_hz
-    w0 = params.omega0
-    if params.damping == 0.0 and abs(w - w0) / w0 < 1e-12:
-        raise UnboundedResonance(
-            f"undamped oscillator driven at resonance (f = {freq_hz} Hz)")
     m, c, f0 = params.mass, params.damping, params.force_amplitude
-    return (f0 / m) / math.sqrt((w0 * w0 - w * w) ** 2 + (c * w / m) ** 2)
+    try:
+        w0 = params.omega0
+        if c == 0.0 and abs(w - w0) / w0 < 1e-12:
+            raise UnboundedResonance(
+                f"undamped oscillator driven at resonance (f = {freq_hz} Hz)")
+        amp = (f0 / m) / math.sqrt((w0 * w0 - w * w) ** 2 + (c * w / m) ** 2)
+    except (OverflowError, ZeroDivisionError):
+        amp = math.inf
+    if not math.isfinite(amp) or (amp == 0.0 and f0 > 0.0):
+        raise SolverError(
+            f"amplitude at f = {freq_hz} Hz is out of double range for these parameters")
+    return amp
 
 
 def peak_frequency_hz(params: OscillatorParams) -> float:

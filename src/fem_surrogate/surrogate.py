@@ -12,7 +12,7 @@ experiment 2, and a relative-error-ish loss is what makes the off-resonance
 tails fit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,12 +46,12 @@ TARGET_SCALING = dataset.LOG10
 class SurrogateModel:
     """Trained net plus the scalers that make its predictions physical.
     meta names the experiment, the trained frequency range (the input
-    scaler's, so the extrapolation range of predict) and the split seed."""
+    scaler's, so the extrapolation range of predict) and the seed."""
 
     net: mlp.Mlp
     input_scaler: dataset.Scaler
     target_scaler: dataset.Scaler
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def predict(model: SurrogateModel, freq_hz: float) -> tuple[np.ndarray, bool]:
@@ -77,10 +77,9 @@ class ExperimentReport:
 
     MSE values live in scaled space; the per-channel relative RMSE
     ||pred - true|| / ||true|| is computed on test points after inverse
-    scaling, in physical units.
+    scaling, in physical units.  config["experiment"] names the experiment.
     """
 
-    experiment: str
     config: dict
     freq_hz: np.ndarray
     true_outputs: np.ndarray        # (n, k) physical units
@@ -138,7 +137,7 @@ class ExperimentReport:
     def write_svg(self, path) -> None:
         plot_curves(path, self.freq_hz, self.true_outputs, self.pred_outputs,
                     self.is_test, dataset.channel_names(self.n_channels),
-                    title=f"{self.experiment}: surrogate vs solver")
+                    title=f"{self.config['experiment']}: surrogate vs solver")
 
 
 def local_max_indices(y: np.ndarray) -> np.ndarray:
@@ -206,12 +205,13 @@ class Fit:
 
 
 def fit_surrogate(experiment: str, freqs, outputs, layer_sizes, train_config: mlp.TrainConfig,
-                  split_seed: int, test_fraction: float, record: bool = True) -> Fit:
+                  test_fraction: float, record: bool) -> Fit:
     """Split -> fit both scalers on the train part only -> init and train
-    the net -> final train/test MSE in scaled space.  record asks mlp.train
-    for the per-epoch loss history; the model and the final MSEs do not
-    depend on it.  Raises NanLoss if a final MSE is not finite."""
-    train_idx, test_idx = dataset.split(len(freqs), test_fraction, split_seed)
+    the net -> final train/test MSE in scaled space.  train_config.seed
+    seeds the split as well as the init and the shuffling.  record asks
+    mlp.train for the per-epoch loss history; the model and the final MSEs
+    do not depend on it.  Raises NanLoss if a final MSE is not finite."""
+    train_idx, test_idx = dataset.split(len(freqs), test_fraction, train_config.seed)
     f_train, y_train = freqs[train_idx], outputs[train_idx]
     input_scaler = dataset.scale_fit(f_train, dataset.LINEAR_MINMAX)
     target_scaler = dataset.scale_fit(y_train, TARGET_SCALING)
@@ -232,7 +232,7 @@ def fit_surrogate(experiment: str, freqs, outputs, layer_sizes, train_config: ml
     # The input scaler is min-max over the train split: its ends are the
     # trained frequency range.
     meta = {"experiment": experiment, "freq_min_hz": float(input_scaler.col_min[0]),
-            "freq_max_hz": float(input_scaler.col_max[0]), "seed": split_seed}
+            "freq_max_hz": float(input_scaler.col_max[0]), "seed": train_config.seed}
     return Fit(SurrogateModel(net, input_scaler, target_scaler, meta), history, test_idx,
                train_mse_scaled=train_mse, test_mse_scaled=test_mse)
 
@@ -265,13 +265,13 @@ def beam_truth(spec: beam_mod.BeamSpec, grid: osc_mod.FrequencyGrid,
 
 
 def run_experiment(experiment: str, freqs, outputs, echo: dict, layer_sizes,
-                   train_config: mlp.TrainConfig, split_seed: int, test_fraction: float,
+                   train_config: mlp.TrainConfig, test_fraction: float,
                    record: bool) -> ExperimentReport:
     """Train on (freqs, outputs) and report against them.  echo holds the
     physical settings (oscillator_truth's or beam_truth's), which the metrics
     list after the experiment and before the grid, split and training
     settings; record as in fit_surrogate."""
-    fit = fit_surrogate(experiment, freqs, outputs, layer_sizes, train_config, split_seed,
+    fit = fit_surrogate(experiment, freqs, outputs, layer_sizes, train_config,
                         test_fraction, record)
     pred_out = predict_batch(fit.model, freqs)
     is_test = np.zeros(len(freqs), dtype=bool)
@@ -297,12 +297,12 @@ def run_experiment(experiment: str, freqs, outputs, echo: dict, layer_sizes,
         offpeak = None
 
     return ExperimentReport(
-        experiment=experiment,
         config={
             "experiment": experiment, **echo,
             "grid_start_hz": float(freqs[0]), "grid_stop_hz": float(freqs[-1]),
             "grid_points": len(freqs),
-            "test_fraction": test_fraction, "split_seed": split_seed,
+            # one seed, listed under both of the metrics file's seed keys
+            "test_fraction": test_fraction, "split_seed": train_config.seed,
             "architecture": list(layer_sizes),
             "optimizer": train_config.optimizer, "learning_rate": train_config.learning_rate,
             "batch_size": train_config.batch_size, "epochs": train_config.epochs,

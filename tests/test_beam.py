@@ -28,11 +28,11 @@ def test_mesh_two_elements_node_positions():
 
 
 def test_mesh_dof_counts():
-    model = beam.build_mesh(straight_spec(n_elements=20))
+    model, red = beam.reduced_system(straight_spec(n_elements=20))
     assert model.n_nodes == 21
     assert model.n_dof == 126
-    assert model.free_dofs.size == 120
-    npt.assert_array_equal(model.fixed_dofs, np.arange(6))
+    assert red.free_dofs.size == 120
+    npt.assert_array_equal(red.free_dofs, np.arange(6, 126))
 
 
 def test_mesh_tilted_axis_and_load_placement():
@@ -153,9 +153,9 @@ def test_assembly_along_x_uses_identity_rotation():
     spec = beam.BeamSpec(0.5, beam.CrossSection(0.03, 0.02), beam.STEEL, 2,
                          axis_direction=X_AXIS, tip_load=np.zeros(3))
     model = beam.build_mesh(spec)
-    npt.assert_array_equal(model.frame, np.eye(3))
+    npt.assert_array_equal(beam.section_frame(spec.axis_direction, spec.section_ref), np.eye(3))
     k_loc, m_loc = beam.element_matrices(spec)
-    kb, mb = beam.assemble(model, spec)
+    kb, mb = beam.assemble(spec)
     assert kb.shape == mb.shape == (model.n_dof, 12)
     big_k, big_m = band_to_dense(kb), band_to_dense(mb)
     # element 0's own corner blocks appear untransformed ...
@@ -182,7 +182,7 @@ def test_assembly_symmetry_and_rigid_modes():
     model = beam.build_mesh(spec)
     for a in rotated_element_matrices(spec):
         assert np.abs(a - a.T).max() <= 1e-10 * np.abs(a).max()
-    big_k = band_to_dense(beam.assemble(model, spec)[0])
+    big_k = band_to_dense(beam.assemble(spec)[0])
     scale = np.abs(big_k).max()
 
     center = model.nodes.mean(axis=0)
@@ -207,14 +207,13 @@ def test_apply_constraints_reduces_and_maps_back():
     # the first 6 band rows
     spec = straight_spec()
     model = beam.build_mesh(spec)
-    kb, mb = beam.assemble(model, spec)
+    kb, mb = beam.assemble(spec)
     _, red = beam.reduced_system(spec)
     assert red.kb.shape == red.mb.shape == (120, 12)
     npt.assert_array_equal(red.k, band_to_dense(kb)[6:, 6:])
     npt.assert_array_equal(red.m, band_to_dense(mb)[6:, 6:])
     npt.assert_array_equal(red.f, model.load[6:])
-    full = red.expand(np.ones(120))
-    assert np.all(full[:6] == 0.0) and np.all(full[6:] == 1.0)
+    npt.assert_array_equal(red.free_dofs, np.arange(6, model.n_dof))
 
 
 def test_reduced_mass_positive_definite():
@@ -247,14 +246,14 @@ def test_default_damping_hits_target_modal_ratio():
 
 def test_static_tip_deflection_matches_cantilever_formula():
     spec = straight_spec(tip_load=(0.0, 5.0, 0.0))
-    model, red = beam.reduced_system(spec)
+    _, red = beam.reduced_system(spec)
     u = beam.static_solve(red.kb, red.f)
-    ux, uy, uz = beam.max_displacements(u.astype(complex), model)
+    ux, uy, uz = beam.max_displacements(u.astype(complex))
     expected = 5.0 * spec.length ** 3 / (3.0 * spec.material.youngs_modulus
                                          * spec.section.i_z)
     assert uy == pytest.approx(expected, rel=5e-3)
     # tip is the deflection maximum and the other channels stay numerically zero
-    full = red.expand(u)
+    full = np.concatenate([np.zeros(6), u])
     assert abs(full[6 * 20 + 1]) == pytest.approx(uy, rel=1e-12)
     assert ux < 1e-12 * uy and uz < 1e-12 * uy
 
@@ -334,10 +333,10 @@ def test_dynamic_pivots_have_positive_imaginary_part():
 def test_harmonic_peaks_near_first_mode():
     spec = beam.default_spec()
     f1 = beam.natural_frequencies(spec, 50.0)[0]
-    model, red = beam.reduced_system(spec, damping=beam.default_damping(spec))
+    _, red = beam.reduced_system(spec, damping=beam.default_damping(spec))
     grid = np.linspace(f1 - 1.0, f1 + 1.0, 41)
     mags = [beam.max_displacements(
-        beam.harmonic_solve(red.kb, red.mb, red.cb, red.f, f), model)[1]
+        beam.harmonic_solve(red.kb, red.mb, red.cb, red.f, f))[1]
         for f in grid]
     step = grid[1] - grid[0]
     assert abs(grid[int(np.argmax(mags))] - f1) <= step
@@ -345,29 +344,31 @@ def test_harmonic_peaks_near_first_mode():
 
 def test_max_displacements_contract():
     spec = straight_spec(n_elements=4)
-    model = beam.build_mesh(spec)
-    n_free = model.free_dofs.size
+    _, red = beam.reduced_system(spec)
+    n_free = red.free_dofs.size
     npt.assert_array_equal(
-        beam.max_displacements(np.zeros(n_free, dtype=complex), model), [0.0, 0.0, 0.0])
+        beam.max_displacements(np.zeros(n_free, dtype=complex)), [0.0, 0.0, 0.0])
     u = np.zeros(n_free, dtype=complex)
     u[-6] = 1.0 + 0.0j  # tip node ux
-    npt.assert_array_equal(beam.max_displacements(u, model), [1.0, 0.0, 0.0])
+    npt.assert_array_equal(beam.max_displacements(u), [1.0, 0.0, 0.0])
     v = np.zeros(n_free, dtype=complex)
     v[2] = -2.0j        # first free node: uz counts,
     v[5] = 7.0          # its rotation rz does not
-    npt.assert_array_equal(beam.max_displacements(np.stack([u, v, u + v]), model),
+    npt.assert_array_equal(beam.max_displacements(np.stack([u, v, u + v])),
                            [[1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
     with pytest.raises(DimensionMismatch):
-        beam.max_displacements(np.zeros((2, 3, n_free)), model)
+        beam.max_displacements(np.zeros((2, 3, n_free)))
+    for width in (0, n_free - 1):  # not 6 values per node
+        with pytest.raises(DimensionMismatch):
+            beam.max_displacements(np.zeros(width))
 
 
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_quasi_static_row():
     spec = straight_spec(tip_load=(0.0, 5.0, 0.0))
-    model, red = beam.reduced_system(spec)
-    static = beam.max_displacements(beam.static_solve(red.kb, red.f).astype(complex),
-                                    model)
+    _, red = beam.reduced_system(spec)
+    static = beam.max_displacements(beam.static_solve(red.kb, red.f).astype(complex))
     table = beam.frequency_sweep(spec, osc.FrequencyGrid(np.array([0.01])),
                                  damping=(0.0, 2e-4))
     assert table.shape == (1, 3)
@@ -415,11 +416,11 @@ def test_sweep_rows_bit_equal_one_frequency_solves(n_points):
     damping = (0.0, 2e-4)
     grid = osc.FrequencyGrid.uniform(3.0, 190.0, n_points)
     table = beam.frequency_sweep(spec, grid, damping)
-    model, red = beam.reduced_system(spec, damping)
+    _, red = beam.reduced_system(spec, damping)
     for i, f in enumerate(grid.values):
         npt.assert_array_equal(
             table[i],
-            beam.max_displacements(beam.harmonic_solve(red.kb, red.mb, red.cb, red.f, f), model))
+            beam.max_displacements(beam.harmonic_solve(red.kb, red.mb, red.cb, red.f, f)))
 
 
 def _refined_dense_solve(d, f, steps=3):
@@ -444,11 +445,11 @@ def test_default_sweep_matches_scipy_solve():
     spec = beam.default_spec()
     damping = beam.default_damping(spec)
     table = beam.frequency_sweep(spec, beam.default_grid(), damping)
-    model, red = beam.reduced_system(spec, damping)
+    _, red = beam.reduced_system(spec, damping)
     for i, f in enumerate(beam.default_grid().values):
         w = 2.0 * math.pi * f
         ref = beam.max_displacements(
-            _refined_dense_solve(red.k - w * w * red.m + 1j * w * red.c, red.f), model)
+            _refined_dense_solve(red.k - w * w * red.m + 1j * w * red.c, red.f))
         assert np.abs(table[i] - ref).max() <= 1e-9 * ref.max()
 
 
@@ -706,7 +707,7 @@ def test_orientation_equivariance_static_and_harmonic():
         _, r2 = beam.reduced_system(spec2, damping=(0.0, 2e-4))
         for solve in (lambda r: beam.static_solve(r.kb, r.f).astype(complex),
                       lambda r: beam.harmonic_solve(r.kb, r.mb, r.cb, r.f, 40.0)):
-            t1 = r1.expand(solve(r1)).reshape(-1, 6)[:, :3]
-            t2 = r2.expand(solve(r2)).reshape(-1, 6)[:, :3]
+            t1 = np.concatenate([np.zeros(6), solve(r1)]).reshape(-1, 6)[:, :3]
+            t2 = np.concatenate([np.zeros(6), solve(r2)]).reshape(-1, 6)[:, :3]
             dev = np.abs(t2 - t1 @ rot.T).max() / np.abs(t1).max()
             assert dev < 1e-9

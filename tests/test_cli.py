@@ -39,7 +39,7 @@ def beam_csv(tmp_path_factory):
 def beam_model(tmp_path_factory, beam_csv):
     path = tmp_path_factory.mktemp("models") / "beam.model"
     res = run_cli("train", "--data", str(beam_csv), "--out-model", str(path),
-                  "--experiment", "example2", "--hidden", "16,16",
+                  "--hidden", "16,16",
                   "--epochs", "150", "--lr", "0.003", "--seed", "7")
     assert res.returncode == 0, res.stderr
     return path
@@ -106,6 +106,37 @@ def test_grid_points_bound_from_memory_model(tmp_path, capsys, command, beam_mod
     assert cli.main(argv + ["--grid-points", str(top + 1)]) == 2
     assert f"--grid-points must be <= {top}" in capsys.readouterr().err
     assert not out.exists()
+
+
+OVERFLOWING_OSCILLATORS = {
+    # each used to exit 0 with nan, inf or 0 rows, or 1 with a traceback
+    "nan": ["--mass", "1e-320"],
+    "inf": ["--force-amplitude", "1e308", "--mass", "1e-3"],
+    "zero": ["--stiffness", "1e300", "--mass", "1e-10"],
+    "overflow_mass": ["--mass", "1e-300"],
+    "overflow_damping": ["--damping-c", "1e300"],
+    "zero_omega0": ["--stiffness", "1e-300", "--mass", "1e300", "--damping-c", "0"],
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_OSCILLATORS)
+def test_oscillator_out_of_double_range_exits_3(tmp_path, capsys, case):
+    out = tmp_path / "x.csv"
+    assert cli.main(["generate", "--experiment", "example1", "--out", str(out),
+                     *OVERFLOWING_OSCILLATORS[case]]) == 3
+    assert "amplitude at f = 0.1 Hz is out of double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_oscillator_out_of_double_range_exits_3_before_training(tmp_path, capsys,
+                                                                     monkeypatch):
+    # used to exit 4 once training met the nan targets
+    monkeypatch.setattr(mlp, "train", lambda *a, **k: pytest.fail("training started"))
+    out_dir = tmp_path / "report"
+    assert cli.main(["eval", "--experiment", "example1", "--mass", "1e-320",
+                     "--out-dir", str(out_dir)]) == 3
+    assert "out of double range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_invalid_grid_exits_2(tmp_path):
@@ -250,6 +281,46 @@ def test_hidden_non_integer_exits_2(tmp_path, osc_csv, command):
     assert "--hidden" in res.stderr and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command, hidden", [
+    ("train", "5000,5000"),    # 1.1 GiB of parameter-sized training vectors
+    ("eval", "5000,5000"),
+    ("train", "200000"),       # 1.2 GiB of forward pass over 200 grid points
+    ("eval", "200000"),
+])
+def test_hidden_over_the_memory_budget_exits_2_before_work(tmp_path, capsys, monkeypatch,
+                                                            osc_csv, command, hidden):
+    # only the estimate is checked: mlp.init would allocate the net
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --hidden was bounded")
+
+    monkeypatch.setattr(mlp, "init", no_work)
+    monkeypatch.setattr(surrogate, "oscillator_truth", no_work)
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--data", str(osc_csv), "--out-model", str(out),
+                      "--history", str(tmp_path / "h.csv")],
+            "eval": ["eval", "--experiment", "example1", "--out-dir", str(out)]}[command]
+    assert cli.main(argv + ["--hidden", hidden]) == 2
+    err = capsys.readouterr().err
+    assert f"--hidden '{hidden}' needs about" in err and "GiB budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("hidden", ["4700,4700", "160000"])
+def test_hidden_just_inside_the_memory_budget_reaches_training(tmp_path, monkeypatch,
+                                                               osc_csv, hidden):
+    # 0.99 GiB of training vectors, 0.95 GiB of forward pass: both admitted
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(mlp, "init", reached)
+    with pytest.raises(Reached):
+        cli.main(["train", "--data", str(osc_csv), "--out-model", str(tmp_path / "m"),
+                  "--hidden", hidden])
+
+
 def test_train_meta_matches_pipeline_meta(tmp_path):
     # train and eval describe a model the same way: experiment, the input
     # scaler's range (seed 7 holds out the first grid point) and the seed
@@ -261,7 +332,7 @@ def test_train_meta_matches_pipeline_meta(tmp_path):
     grid_hz = osc.FrequencyGrid.uniform(0.5, 8.0, 50)
     outputs, echo = surrogate.oscillator_truth(osc.DEFAULT_PARAMS, grid_hz)
     report = surrogate.run_experiment("example1", grid_hz.values, outputs, echo, [1, 6, 1],
-                                      mlp.TrainConfig(epochs=3, seed=7), 7, 0.2, record=False)
+                                      mlp.TrainConfig(epochs=3, seed=7), 0.2, record=False)
     meta = json.loads(model.read_text())["meta"]
     assert meta == report.model.meta
     assert meta["freq_min_hz"] > 0.5
@@ -644,6 +715,39 @@ def test_config_file_unknown_key_exits_2(tmp_path, osc_csv):
                   "--out-model", str(tmp_path / "m.model"), "--config", str(cfg))
     assert res.returncode == 2
     assert "not-a-flag" in res.stderr
+
+
+@pytest.mark.parametrize("extra", [{"hist": "h.csv", "epochs": 1}, {"ep": 1},
+                                   {"te": 0.5, "epochs": 1}, ["--ep", "1"]],
+                         ids=["config_hist", "config_ep", "config_te", "flag_ep"])
+def test_flag_prefix_is_an_unknown_flag(tmp_path, capsys, osc_csv, monkeypatch, extra):
+    # a prefix used to stand for the flag it began: --history, --epochs,
+    # --test-fraction
+    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "m.model"
+    argv = ["train", "--data", str(osc_csv), "--out-model", str(model)]
+    if isinstance(extra, list):
+        argv += extra
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(extra))
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not model.exists() and not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_experiment_prefix_is_an_unknown_flag(tmp_path, capsys, command):
+    argv = {"generate": ["generate", "--out", str(tmp_path / "x.csv")],
+            "eval": ["eval", "--epochs", "1", "--out-dir", str(tmp_path / "report")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--exp", "example1"])
+    assert exc.value.code == 2
+    assert "required: --experiment" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -249,21 +249,22 @@ def test_adam_second_moments_stay_nonnegative():
 def test_train_zero_epochs_is_identity():
     net = mlp.init([1, 5, 1], 0)
     before = mlp.Mlp(net.layer_sizes, net.theta.copy())
-    data = mlp.TrainSplit(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]))
+    x = np.array([[0.0], [1.0]])
+    data = mlp.TrainSplit(x, x, x, x)
     cfg = mlp.TrainConfig(optimizer="sgd", learning_rate=0.1, epochs=0, seed=0)
-    net, hist = mlp.train(net, data, cfg)
-    assert hist.train_mse == []
+    net, hist = mlp.train(net, data, cfg, record=True)
+    assert hist.train_mse == [] and hist.test_mse == []
     for a, b in zip(net.weights, before.weights):
         npt.assert_array_equal(a, b)
 
 
 def test_train_fits_linear_function():
     x = np.linspace(0.0, 1.0, 50)[:, None]
-    data = mlp.TrainSplit(x, 2.0 * x)
+    data = mlp.TrainSplit(x, 2.0 * x, x, 2.0 * x)
     net = mlp.init([1, 8, 1], 0)
     cfg = mlp.TrainConfig(optimizer="adam", learning_rate=1e-2, batch_size=16,
                           epochs=2000, seed=0)
-    net, hist = mlp.train(net, data, cfg)
+    net, hist = mlp.train(net, data, cfg, record=True)
     assert hist.train_mse[-1] < 1e-4
     assert len(hist.train_mse) == 2000
 
@@ -277,7 +278,7 @@ def test_train_deterministic():
         net = mlp.init([1, 6, 1], 11)
         cfg = mlp.TrainConfig(optimizer="adam", learning_rate=1e-3, batch_size=8,
                               epochs=50, seed=11)
-        net, hist = mlp.train(net, data, cfg)
+        net, hist = mlp.train(net, data, cfg, record=True)
         runs.append((net, hist))
     assert runs[0][1].train_mse == runs[1][1].train_mse
     assert runs[0][1].test_mse == runs[1][1].test_mse
@@ -288,11 +289,11 @@ def test_train_deterministic():
 def test_train_sgd_full_batch_monotone_on_convex_problem():
     x = np.linspace(0.0, 1.0, 20)[:, None]
     y = 1.5 * x + 0.3
-    data = mlp.TrainSplit(x, y)
+    data = mlp.TrainSplit(x, y, x, y)
     net = mlp.Mlp([1, 1], np.zeros(2))
     cfg = mlp.TrainConfig(optimizer="sgd", learning_rate=0.05, batch_size=20,
                           epochs=200, seed=0)
-    net, hist = mlp.train(net, data, cfg)
+    net, hist = mlp.train(net, data, cfg, record=True)
     diffs = np.diff(hist.train_mse)
     assert np.all(diffs <= 1e-15)
 
@@ -304,23 +305,22 @@ def test_train_nan_loss_reports_epoch():
     cfg = mlp.TrainConfig(optimizer="sgd", learning_rate=1e6, batch_size=2,
                           epochs=50, seed=0)
     with pytest.raises(NanLoss, match="epoch"):
-        mlp.train(net, mlp.TrainSplit(x, y), cfg)
+        mlp.train(net, mlp.TrainSplit(x, y, x, y), cfg, record=True)
 
 
-@pytest.mark.parametrize("with_test", [True, False], ids=["test_split", "no_test_split"])
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_train_without_record_gives_the_same_bits(optimizer, with_test):
+def test_train_without_record_gives_the_same_bits(optimizer):
     x = np.linspace(0.0, 1.0, 37)[:, None]
     y = np.column_stack([np.sin(3.0 * x[:, 0]), np.cos(2.0 * x[:, 0])])
-    data = mlp.TrainSplit(x, y, x[::3], y[::3]) if with_test else mlp.TrainSplit(x, y)
+    data = mlp.TrainSplit(x, y, x[::3], y[::3])
     cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=1e-2, batch_size=16,
                           epochs=6, seed=2)
-    recorded, hist = mlp.train(mlp.init([1, 7, 5, 2], 4), data, cfg)
+    recorded, hist = mlp.train(mlp.init([1, 7, 5, 2], 4), data, cfg, record=True)
     bare, empty = mlp.train(mlp.init([1, 7, 5, 2], 4), data, cfg, record=False)
     assert len(hist.train_mse) == 6
     assert np.array_equal(bare.theta, recorded.theta)
     assert empty.train_mse == []
-    assert empty.test_mse == ([] if with_test else None)
+    assert empty.test_mse == []
 
 
 def test_train_without_record_reports_divergence_epoch():
@@ -330,7 +330,7 @@ def test_train_without_record_reports_divergence_epoch():
     cfg = mlp.TrainConfig(optimizer="sgd", learning_rate=1e6, batch_size=2,
                           epochs=50, seed=0)
     with pytest.raises(NanLoss, match="epoch"):
-        mlp.train(net, mlp.TrainSplit(x, y), cfg, record=False)
+        mlp.train(net, mlp.TrainSplit(x, y, x, y), cfg, record=False)
 
 
 def test_train_config_validation():
@@ -414,7 +414,7 @@ def test_train_matches_per_array_reference_bitwise(sizes, optimizer):
     cfg = mlp.TrainConfig(optimizer=optimizer, learning_rate=1e-2, batch_size=16,
                           epochs=3, seed=5)
     want, want_train, want_test = _ref_train(sizes, 9, data, cfg)
-    net, hist = mlp.train(mlp.init(sizes, 9), data, cfg)
+    net, hist = mlp.train(mlp.init(sizes, 9), data, cfg, record=True)
     for got, ref in zip(net.weights + net.biases, want):
         assert got.tobytes() == ref.tobytes()
     assert hist.train_mse == want_train
@@ -522,7 +522,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
 def _save_small_model(path):
     in_sc = dataset.scale_fit(np.array([1.0, 9.0]), dataset.LINEAR_MINMAX)
     out_sc = dataset.scale_fit(np.array([1e-5, 2e-4]), dataset.LOG10)
-    mlp.save_model(mlp.init([1, 2, 1], 0), in_sc, out_sc, path)
+    mlp.save_model(mlp.init([1, 2, 1], 0), in_sc, out_sc, path, {})
 
 
 def test_load_rejects_wrong_version(tmp_path):

@@ -20,7 +20,7 @@ def small_example1(seed=42, epochs=400):
         "example1", grid.values, outputs, echo, [1, 16, 16, 1],
         mlp.TrainConfig(optimizer="adam", learning_rate=3e-3, batch_size=8,
                         epochs=epochs, seed=seed),
-        split_seed=seed, test_fraction=0.2, record=True)
+        test_fraction=0.2, record=True)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def report1():
 
 def test_report_structure(report1):
     rep = report1
-    assert rep.experiment == "example1"
+    assert rep.config["experiment"] == "example1"
     assert rep.freq_hz.shape == (50,)
     assert rep.true_outputs.shape == (50, 1)
     assert rep.pred_outputs.shape == (50, 1)
@@ -68,17 +68,17 @@ def test_different_seed_changes_model():
 def test_no_leakage_from_test_targets():
     grid = osc.FrequencyGrid.uniform(0.1, 10.0, 40)
     outputs = osc.sweep_oscillator(osc.DEFAULT_PARAMS, grid)
-    split_seed = 5
-    _, test_idx = dataset.split(len(grid), 0.2, split_seed)
+    seed = 5  # seeds the split, the init and the shuffling
+    _, test_idx = dataset.split(len(grid), 0.2, seed)
     perturbed = outputs.copy()
     perturbed[test_idx] *= 3.0
 
     train_cfg = mlp.TrainConfig(optimizer="adam", learning_rate=1e-3,
-                                batch_size=8, epochs=40, seed=5)
+                                batch_size=8, epochs=40, seed=seed)
     rep_a = surrogate.run_experiment("example1", grid.values, outputs, {}, [1, 8, 1],
-                                     train_cfg, split_seed, 0.2, record=True)
+                                     train_cfg, 0.2, record=True)
     rep_b = surrogate.run_experiment("example1", grid.values, perturbed, {}, [1, 8, 1],
-                                     train_cfg, split_seed, 0.2, record=True)
+                                     train_cfg, 0.2, record=True)
     # scaler parameters and trained weights depend on the train partition only
     assert rep_a.model.target_scaler.to_dict() == rep_b.model.target_scaler.to_dict()
     for wa, wb in zip(rep_a.model.net.weights, rep_b.model.net.weights):
@@ -101,7 +101,7 @@ def test_fit_surrogate_rejects_non_finite_final_mse(monkeypatch):
     with pytest.raises(NanLoss, match="final"):
         surrogate.fit_surrogate("example1", grid.values,
                                 osc.sweep_oscillator(osc.DEFAULT_PARAMS, grid),
-                                [1, 4, 1], cfg, 1, 0.2, record=False)
+                                [1, 4, 1], cfg, 0.2, record=False)
 
 
 def test_predict_roundtrip_and_extrapolation_flag(report1):
@@ -145,8 +145,7 @@ def test_meta_range_is_the_extrapolation_range():
 def test_model_file_round_trip_preserves_predictions(tmp_path, report1):
     model = report1.model
     path = tmp_path / "model.json"
-    mlp.save_model(model.net, model.input_scaler, model.target_scaler, path,
-                   meta=model.meta)
+    mlp.save_model(model.net, model.input_scaler, model.target_scaler, path, model.meta)
     net2, in2, out2, meta2 = mlp.load_model(path)
     model2 = surrogate.SurrogateModel(net2, in2, out2, meta2)
     freqs = np.linspace(0.1, 10.0, 23)
@@ -248,7 +247,7 @@ def test_example2_small_pipeline_and_svg(tmp_path):
         "example2", grid.values, outputs, echo, [1, 24, 24, 3],
         mlp.TrainConfig(optimizer="adam", learning_rate=3e-3, batch_size=8,
                         epochs=300, seed=42),
-        split_seed=42, test_fraction=0.2, record=True)
+        test_fraction=0.2, record=True)
     assert rep.true_outputs.shape == (60, 3)
     assert rep.config["target_scaling"] == "log10"
     assert rep.config["alpha"] == 0.0 and rep.config["beta"] > 0.0
