@@ -18,12 +18,28 @@ eigensolver.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDamping, InvalidSpec, Singular
+from .errors import DimensionMismatch, InvalidDamping, InvalidSpec, Singular, SolverError
 from .numerics import band_ldlt, band_ldlt_refined, band_to_dense
 from .oscillator import FrequencyGrid
+
+# The smallest positive normal double.
+_TINY = np.finfo(float).tiny
+
+
+def _check_normal(name: str, formula, context: str) -> None:
+    """InvalidSpec naming the quantity unless formula() is a positive,
+    finite, normal double; an OverflowError or ZeroDivisionError on the way
+    counts as out of range."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not _TINY <= value < math.inf:
+        raise InvalidSpec(f"{name} is out of double range ({value!r}) {context}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +73,9 @@ class CrossSection:
             raise InvalidSpec(f"width must be > 0, got {self.width}")
         if not (np.isfinite(self.height) and self.height > 0.0):
             raise InvalidSpec(f"height must be > 0, got {self.height}")
+        for name in ("area", "i_y", "i_z", "polar_moment", "torsion_constant"):
+            _check_normal(f"section {name}", partial(getattr, self, name),
+                          f"for width {self.width!r} and height {self.height!r}")
 
     @property
     def area(self) -> float:
@@ -132,6 +151,9 @@ class BeamSpec:
                 f"n_elements must be <= {MAX_ELEMENTS}, got {self.n_elements}: its band "
                 f"working set needs {band_model_bytes(self.n_elements) / 2 ** 30:.3g} GiB, "
                 f"over the {MEMORY_BUDGET / 2 ** 30:g} GiB budget")
+        # the element matrices divide by it and multiply by its square
+        _check_normal("element length cubed", lambda: self.element_length ** 3,
+                      f"for length {self.length!r} over {self.n_elements} elements")
         axis = np.asarray(self.axis_direction, dtype=float)
         if axis.shape != (3,) or not np.all(np.isfinite(axis)):
             raise InvalidSpec("axis_direction must be a finite 3-vector")
@@ -291,6 +313,10 @@ def element_matrices(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     add(flip @ bending_k(e_mod * sec.i_y) @ flip, [2, 4, 8, 10], k)
     add(flip @ bending_m() @ flip, [2, 4, 8, 10], m)
 
+    for name, block in (("stiffness", k), ("mass", m)):
+        if not np.isfinite(block).all() or not block.any():
+            raise InvalidSpec(f"element {name} matrix is out of double range for this spec "
+                              f"({'not finite' if block.any() else 'all zero'})")
     return k, m
 
 
@@ -350,10 +376,6 @@ class ReducedSystem:
     @property
     def m(self) -> np.ndarray:
         return band_to_dense(self.mb)
-
-    @property
-    def c(self) -> np.ndarray | None:
-        return None if self.cb is None else band_to_dense(self.cb)
 
 
 def rayleigh_damping(k, m, alpha: float, beta: float) -> np.ndarray:
@@ -468,7 +490,9 @@ def frequency_sweep(spec: BeamSpec, grid: FrequencyGrid,
     One assembly, then one batched band solve per _BATCH grid frequencies
     (each with one refinement step), so memory stays flat in the grid size.
     A singular frequency does not stop the sweep; every failure is collected
-    and one Singular names up to five of them.
+    and one Singular names up to five of them.  A row that is not finite,
+    holds a nonzero subnormal, or is all 0 under a nonzero load has left
+    double range: SolverError names the first such frequency.
     """
     _, red = reduced_system(spec, damping)
     bands = (red.kb, red.mb, red.cb)
@@ -480,7 +504,15 @@ def frequency_sweep(spec: BeamSpec, grid: FrequencyGrid,
         failures += failed
     if failures:
         raise Singular(f"{len(failures)} sweep frequencies failed ({'; '.join(failures[:5])})")
-    return np.concatenate(rows)
+    table = np.concatenate(rows)
+    bad = ~np.isfinite(table).all(axis=1) | ((table > 0.0) & (table < _TINY)).any(axis=1)
+    if red.f.any():
+        bad |= ~table.any(axis=1)
+    if bad.any():
+        i = bad.argmax()
+        raise SolverError(f"sweep output at f = {freqs[i]} Hz is out of double range: "
+                          f"{table[i].tolist()}")
+    return table
 
 
 def _negative_pivots(bands, shifts: np.ndarray) -> np.ndarray:

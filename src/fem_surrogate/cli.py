@@ -82,6 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="mass-proportional damping, 1/s")
     geom.add_argument("--beta", type=float, default=None,
                       help="stiffness-proportional damping, s")
+    # each experiment's model flags, by dest: the other experiment rejects them
+    model_flags = {"example1": list(vars(osc.parse_args([]))),
+                   "example2": list(vars(geom.parse_args([])))}
 
     training = argparse.ArgumentParser(add_help=False)
     training.add_argument("--hidden", default=None,
@@ -96,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a ground-truth sweep CSV")
     p.add_argument("--experiment", choices=["example1", "example2"], required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(model_flags=model_flags)
 
     p = sub.add_parser("train", parents=[common, training], allow_abbrev=False,
                        help="train a surrogate on a sweep CSV; its column count picks the recipe")
@@ -115,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.add_argument("--plot", default=None, help="optional SVG path")
     p.add_argument("--history", default=None, help="optional epoch,mse CSV path")
+    p.set_defaults(model_flags=model_flags)
 
     return parser
 
@@ -194,6 +199,17 @@ def _train_config(args, experiment, seed) -> mlp.TrainConfig:
         epochs=args.epochs))
 
 
+def _check_model_flags(args) -> None:
+    """A flag that sets another experiment's model, from the command line
+    or --config, is a ConfigError: the run would ignore it."""
+    given = ["--" + dest.replace("_", "-")
+             for experiment, dests in args.model_flags.items() if experiment != args.experiment
+             for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ConfigError(f"--experiment {args.experiment} does not take {', '.join(given)}: "
+                          f"they set the other experiment's model")
+
+
 def _check_out_path(path, new_dir=None) -> None:
     """Output paths are validated before any computation starts: an empty
     path, an existing directory, or a parent that is missing or not
@@ -256,8 +272,8 @@ def _beam_spec(args) -> beam_mod.BeamSpec:
     axis = args.axis
     if axis is not None:
         norm = np.linalg.norm(axis)
-        if norm == 0.0:
-            raise ConfigError("--axis must be a nonzero vector")
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise ConfigError(f"--axis must be a nonzero vector of finite length, got {axis}")
         axis = np.asarray(axis, dtype=float) / norm
     d = beam_mod.default_spec()
     return dataclasses.replace(
@@ -291,6 +307,7 @@ def _ground_truth(args, grid) -> tuple[np.ndarray, dict]:
 
 
 def cmd_generate(args) -> int:
+    _check_model_flags(args)
     _check_out_path(args.out)
     grid = _experiment_grid(args)
     outputs, _ = _ground_truth(args, grid)
@@ -370,6 +387,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_model_flags(args)
     _check_out_dir(args.out_dir)
     _check_out_path(args.plot, args.out_dir)
     _check_out_path(args.history, args.out_dir)

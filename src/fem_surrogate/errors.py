@@ -88,10 +88,6 @@ class UnboundedResonance(SolverError):
     pass
 
 
-class NonConvergent(SolverError):
-    pass
-
-
 # --- training --------------------------------------------------------------
 
 class NanLoss(TrainingError):

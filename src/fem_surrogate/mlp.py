@@ -86,8 +86,6 @@ class Gradients:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-# Central-difference step of grad_check.
-GRAD_CHECK_STEP = 1e-6
 
 
 @dataclass
@@ -182,10 +180,10 @@ def mse(predictions, targets) -> float:
     return float(np.mean((p - t) ** 2))
 
 
-def backward(net: Mlp, x, targets, out: Gradients | None = None) -> Gradients:
+def backward(net: Mlp, x, targets, out: Gradients) -> Gradients:
     """Analytic gradient of mse(forward(net, x), targets) for every weight
-    and bias.  Written into out, whose flat vector must have the size of
-    net.theta, when given; into new Gradients otherwise."""
+    and bias, written into out, whose flat vector must have the size of
+    net.theta."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(targets, dtype=float)
     if x.ndim == 1:
@@ -198,8 +196,6 @@ def backward(net: Mlp, x, targets, out: Gradients | None = None) -> Gradients:
             f"batch shapes {x.shape}, {t.shape} do not fit layers {net.layer_sizes}")
     if x.shape[0] == 0:
         raise EmptyBatch("backward over an empty batch")
-    if out is None:
-        out = Gradients(net)
     _check_size(net, out)
 
     last = net.n_layers - 1
@@ -307,30 +303,6 @@ def train(net: Mlp, data: TrainSplit, config: TrainConfig,
             elif not np.isfinite(net.theta).all():
                 raise NanLoss(f"parameters became non-finite at epoch {epoch}")
     return net, history
-
-
-def grad_check(net: Mlp, x, targets) -> float:
-    """Max relative deviation of backward() from central finite differences
-    of step GRAD_CHECK_STEP over every parameter:
-    |g_a - g_n| / max(1e-12, |g_a| + |g_n|)."""
-    h = GRAD_CHECK_STEP
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    analytic = backward(net, x, t).flat
-
-    theta = net.theta
-    worst = 0.0
-    for i in range(theta.size):
-        keep = theta[i]
-        theta[i] = keep + h
-        up = mse(forward(net, x), t)
-        theta[i] = keep - h
-        down = mse(forward(net, x), t)
-        theta[i] = keep
-        numeric = (up - down) / (2.0 * h)
-        err = abs(analytic[i] - numeric) / max(1e-12, abs(analytic[i]) + abs(numeric))
-        worst = max(worst, err)
-    return worst
 
 
 # --- model persistence -------------------------------------------------------

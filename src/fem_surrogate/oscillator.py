@@ -6,10 +6,9 @@ The closed-form amplitude
 
     A(w) = (F0/m) / sqrt((w0^2 - w^2)^2 + (c w / m)^2),  w0 = sqrt(k/m)
 
-is the ground truth for the first surrogate experiment; a fixed-step RK4
-time integration of the same ODE serves as an independent oracle for it.
-The public frequency axis is always Hz; the w = 2*pi*f conversion happens
-inside the operations.
+is the ground truth for the first surrogate experiment.  The public
+frequency axis is always Hz; the w = 2*pi*f conversion happens inside the
+operations.
 """
 
 import math
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NonConvergent, SolverError, UnboundedResonance
+from .errors import InvalidParams, SolverError, UnboundedResonance
 
 
 @dataclass(frozen=True)
@@ -125,67 +124,3 @@ def sweep_oscillator(params: OscillatorParams, grid: FrequencyGrid) -> np.ndarra
             raise UnboundedResonance(f"sweep failed at f = {f} Hz: {exc}") from exc
     return out
 
-
-def steady_state_oracle(params: OscillatorParams, freq_hz: float,
-                        cycles: int = 200, steps_per_cycle: int = 200) -> float:
-    """Independent check of amplitude(): integrate the ODE from rest with
-    classical fixed-step RK4, drop the first 80% of the window, and return
-    the (parabolically refined) max |x| over the remainder.
-
-    Raises NonConvergent when the last two cycles' maxima still differ by
-    more than 0.5%.
-    """
-    if params.damping <= 0.0:
-        raise InvalidParams("oracle requires damping > 0 so the transient decays")
-    if cycles < 50:
-        raise InvalidParams(f"cycles must be >= 50, got {cycles}")
-    if steps_per_cycle < 100:
-        raise InvalidParams(f"steps_per_cycle must be >= 100, got {steps_per_cycle}")
-    if not (np.isfinite(freq_hz) and freq_hz >= 0.0):
-        raise InvalidParams(f"freq_hz must be finite and >= 0, got {freq_hz}")
-    if freq_hz == 0.0 or params.force_amplitude == 0.0:
-        return 0.0  # zero forcing, starts and stays at rest
-
-    m, c, k, f0 = params.mass, params.damping, params.stiffness, params.force_amplitude
-    w = 2.0 * math.pi * freq_hz
-    dt = (1.0 / freq_hz) / steps_per_cycle
-    n_steps = cycles * steps_per_cycle
-
-    x, v = 0.0, 0.0
-    xs = [0.0] * (n_steps + 1)
-    sin = math.sin
-
-    def acc(xi, vi, ti):
-        return (f0 * sin(w * ti) - c * vi - k * xi) / m
-
-    for i in range(n_steps):
-        t = i * dt
-        k1x, k1v = v, acc(x, v, t)
-        k2x, k2v = v + 0.5 * dt * k1v, acc(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v, t + 0.5 * dt)
-        k3x, k3v = v + 0.5 * dt * k2v, acc(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v, t + 0.5 * dt)
-        k4x, k4v = v + dt * k3v, acc(x + dt * k3x, v + dt * k3v, t + dt)
-        x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        xs[i + 1] = x
-
-    xs = np.abs(np.array(xs))
-    tail = xs[int(0.8 * len(xs)):]
-
-    last = xs[-steps_per_cycle:]
-    prev = xs[-2 * steps_per_cycle:-steps_per_cycle]
-    m1, m2 = last.max(), prev.max()
-    denom = max(m1, m2)
-    if denom > 0.0 and abs(m1 - m2) / denom > 5e-3:
-        raise NonConvergent(
-            f"steady state not reached: last two cycle maxima differ by "
-            f"{abs(m1 - m2) / denom:.2%}")
-
-    # Parabolic refinement removes the O((w*dt)^2) sampling bias of the max.
-    i = int(np.argmax(tail))
-    if 0 < i < len(tail) - 1:
-        y0, y1, y2 = tail[i - 1], tail[i], tail[i + 1]
-        dd = y0 - 2.0 * y1 + y2
-        if dd < 0.0:
-            delta = 0.5 * (y0 - y2) / dd
-            return float(y1 - 0.25 * (y0 - y2) * delta)
-    return float(tail[i])

@@ -293,7 +293,7 @@ def test_harmonic_residual_is_tiny():
     for f in rng.uniform(1.0, 200.0, size=8):
         u = beam.harmonic_solve(red.kb, red.mb, red.cb, red.f, f)
         w = 2.0 * math.pi * f
-        dyn = red.k - w * w * red.m + 1j * w * red.c
+        dyn = red.k - w * w * red.m + 1j * w * band_to_dense(red.cb)
         resid = np.linalg.norm(dyn @ u - red.f) / np.linalg.norm(red.f)
         assert resid < 1e-10
 
@@ -449,7 +449,7 @@ def test_default_sweep_matches_scipy_solve():
     for i, f in enumerate(beam.default_grid().values):
         w = 2.0 * math.pi * f
         ref = beam.max_displacements(
-            _refined_dense_solve(red.k - w * w * red.m + 1j * w * red.c, red.f))
+            _refined_dense_solve(red.k - w * w * red.m + 1j * w * band_to_dense(red.cb), red.f))
         assert np.abs(table[i] - ref).max() <= 1e-9 * ref.max()
 
 

@@ -139,6 +139,85 @@ def test_eval_oscillator_out_of_double_range_exits_3_before_training(tmp_path, c
     assert list(tmp_path.iterdir()) == []
 
 
+EXTREMES = ["5e-324", "1e-300", "1e-200", "1e200", "1e300", "1.7e308"]
+BEAM_SCALAR_FLAGS = ["--length", "--width", "--height", "--youngs-modulus",
+                     "--poisson-ratio", "--density", "--alpha", "--beta"]
+# each component is walked with the others at their default direction and load
+BEAM_VECTOR_FLAGS = {"--axis": ["1", "1", "1"], "--tip-load": ["0", "10", "10"]}
+
+
+def _beam_domain_walk():
+    for flag in BEAM_SCALAR_FLAGS:
+        for value in EXTREMES:
+            yield flag, value
+    for flag, base in BEAM_VECTOR_FLAGS.items():
+        for i in range(3):
+            for value in EXTREMES:
+                yield flag, ",".join(value if j == i else b for j, b in enumerate(base))
+
+
+@pytest.mark.parametrize("flag, value", list(_beam_domain_walk()))
+def test_beam_domain_walk_gives_normal_outputs_or_a_typed_exit(tmp_path, capsys, flag, value):
+    # 15 of these 84 used to exit 1 with a traceback (--length, --width and
+    # --height) or exit 0 with nan rows (--tip-load 1.7e308)
+    out = tmp_path / "x.csv"
+    rc = cli.main(["generate", "--experiment", "example2", "--grid-points", "20",
+                   "--n-elements", "4", "--out", str(out), flag, value])
+    if rc == 0:
+        outputs = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:]
+        assert np.isfinite(outputs).all()
+        assert not ((outputs != 0.0) & (np.abs(outputs) < np.finfo(float).tiny)).any()
+    else:
+        assert rc in (2, 3), capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_beam_sweep_out_of_double_range_names_the_frequency(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["generate", "--experiment", "example2", "--grid-points", "20",
+                     "--n-elements", "4", "--out", str(out),
+                     "--tip-load", "1e308,1e308,1e308"]) == 3
+    assert "sweep output at f = 1.0 Hz is out of double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_beam_zero_channel_stays_legal(tmp_path):
+    # an axis in the y-z plane loaded in y and z moves nothing along x
+    out = tmp_path / "x.csv"
+    assert cli.main(["generate", "--experiment", "example2", "--grid-points", "20",
+                     "--n-elements", "4", "--out", str(out), "--axis", "0,1,1"]) == 0
+    _, outputs = dataset.read_csv(out)
+    assert np.all(outputs[:, 0] == 0.0) and np.all(outputs[:, 1:] > 0.0)
+
+
+OTHER_EXPERIMENT_FLAGS = {
+    "generate_example1": (["generate", "--experiment", "example1",
+                           "--n-elements", "40", "--length", "3"], ["--length", "--n-elements"]),
+    "generate_example2": (["generate", "--experiment", "example2", "--mass", "5"], ["--mass"]),
+    "eval_example1": (["eval", "--experiment", "example1", "--alpha", "0.1"], ["--alpha"]),
+    "eval_example2_config": (["eval", "--experiment", "example2"], ["--damping-c"]),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_EXPERIMENT_FLAGS)
+def test_other_experiments_model_flag_exits_2_before_work(tmp_path, capsys, monkeypatch,
+                                                          case):
+    # each used to exit 0 and ignore the flag
+    for truth in ("oscillator_truth", "beam_truth"):
+        monkeypatch.setattr(surrogate, truth, lambda *a, **k: pytest.fail("solver ran"))
+    argv, flags = OTHER_EXPERIMENT_FLAGS[case]
+    out = tmp_path / "out"
+    argv = argv + (["--out", str(out)] if argv[0] == "generate" else ["--out-dir", str(out)])
+    if case.endswith("config"):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"damping_c": 1.0}))
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags), err
+    assert not out.exists()
+
+
 def test_generate_invalid_grid_exits_2(tmp_path):
     res = run_cli("generate", "--experiment", "example1",
                   "--out", str(tmp_path / "x.csv"),
@@ -810,7 +889,7 @@ EXIT_CODES = {
     "InvalidArchitecture": 2,
     "DataError": 3, "DimensionMismatch": 3, "TooFewSamples": 3, "MalformedRow": 3,
     "EmptyBatch": 3,
-    "SolverError": 3, "Singular": 3, "UnboundedResonance": 3, "NonConvergent": 3,
+    "SolverError": 3, "Singular": 3, "UnboundedResonance": 3,
     "TrainingError": 4, "NanLoss": 4,
     "ModelFileError": 5, "VersionMismatch": 5, "CorruptModel": 5,
 }

@@ -14,6 +14,7 @@ from fem_surrogate.errors import (
     VersionMismatch,
 )
 from fem_surrogate import dataset, mlp
+from oracles import grad_check
 
 
 # --- init --------------------------------------------------------------------
@@ -106,7 +107,7 @@ def test_backward_zero_error_gives_zero_gradients():
     net = mlp.init([1, 4, 1], 2)
     x = np.array([[0.3]])
     t = mlp.forward(net, x)
-    g = mlp.backward(net, x, t)
+    g = mlp.backward(net, x, t, mlp.Gradients(net))
     for arr in g.weights + g.biases:
         npt.assert_array_equal(arr, np.zeros_like(arr))
 
@@ -114,7 +115,7 @@ def test_backward_zero_error_gives_zero_gradients():
 def test_backward_affine_hand_derivative():
     w, b, x, t = 0.7, 0.2, 1.3, 2.0
     net = mlp.Mlp([1, 1], np.array([w, b]))
-    g = mlp.backward(net, np.array([[x]]), np.array([[t]]))
+    g = mlp.backward(net, np.array([[x]]), np.array([[t]]), mlp.Gradients(net))
     resid = w * x + b - t
     assert g.weights[0][0, 0] == pytest.approx(2.0 * x * resid, rel=1e-15)
     assert g.biases[0][0] == pytest.approx(2.0 * resid, rel=1e-15)
@@ -126,7 +127,7 @@ def test_backward_matches_finite_differences():
         net = mlp.init(arch, 20)
         x = rng.standard_normal((5, arch[0]))
         t = mlp.forward(net, x) + 0.01 * rng.standard_normal((5, arch[-1]))
-        assert mlp.grad_check(net, x, t) < 1e-6
+        assert grad_check(net, x, t) < 1e-6
 
 
 def test_backward_permutation_invariant():
@@ -134,9 +135,9 @@ def test_backward_permutation_invariant():
     net = mlp.init([1, 20, 1], 5)
     x = rng.standard_normal((10, 1))
     t = rng.standard_normal((10, 1))
-    g1 = mlp.backward(net, x, t)
+    g1 = mlp.backward(net, x, t, mlp.Gradients(net))
     perm = rng.permutation(10)
-    g2 = mlp.backward(net, x[perm], t[perm])
+    g2 = mlp.backward(net, x[perm], t[perm], mlp.Gradients(net))
     for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
         npt.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
@@ -480,14 +481,14 @@ def test_grad_check_small_nets():
     net = mlp.init([1, 10, 1], 30)
     x = rng.standard_normal((5, 1))
     t = mlp.forward(net, x) + 0.01 * rng.standard_normal((5, 1))
-    assert mlp.grad_check(net, x, t) < 1e-6
+    assert grad_check(net, x, t) < 1e-6
 
 
 def test_grad_check_affine_net_tight():
     net = mlp.Mlp([1, 1], np.array([0.8, 0.1]))
     x = np.array([[0.5], [1.5]])
     t = np.array([[1.0], [0.0]])
-    assert mlp.grad_check(net, x, t) < 1e-9
+    assert grad_check(net, x, t) < 1e-9
 
 
 def test_grad_check_zero_gradient_batch():
@@ -497,7 +498,7 @@ def test_grad_check_zero_gradient_batch():
     net = mlp.init([1, 3, 1], 1)
     x = np.array([[0.0]])
     t = np.array([[0.0]])
-    assert mlp.grad_check(net, x, t) == 0.0
+    assert grad_check(net, x, t) == 0.0
 
 
 # --- persistence -------------------------------------------------------------

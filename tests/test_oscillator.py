@@ -6,6 +6,7 @@ import pytest
 
 from fem_surrogate.errors import InvalidParams, UnboundedResonance
 from fem_surrogate import oscillator as osc
+from oracles import steady_state_oracle
 
 
 def params(m=1.0, c=0.1, k=1.0, f0=1.0):
@@ -40,16 +41,16 @@ def test_amplitude_at_two_rad_per_second():
 def test_oracle_confirms_closed_form_at_spec_points():
     p = params()
     f = 2.0 / (2.0 * math.pi)
-    assert osc.steady_state_oracle(p, f, cycles=200) == pytest.approx(
+    assert steady_state_oracle(p, f, cycles=200) == pytest.approx(
         osc.amplitude(p, f), rel=1e-3)
     p2 = params(1.0, 0.5, 4.0, 2.0)
     f2 = 1.0 / (2.0 * math.pi)
-    assert osc.steady_state_oracle(p2, f2) == pytest.approx(
+    assert steady_state_oracle(p2, f2) == pytest.approx(
         osc.amplitude(p2, f2), rel=1e-3)
 
 
 def test_oracle_zero_forcing_returns_zero():
-    assert osc.steady_state_oracle(params(f0=0.0), 0.5) == 0.0
+    assert steady_state_oracle(params(f0=0.0), 0.5) == 0.0
 
 
 def test_oracle_matches_closed_form_for_random_params():
@@ -65,7 +66,7 @@ def test_oracle_matches_closed_form_for_random_params():
         f = rng.uniform(0.3, 2.0) * w0 / (2.0 * math.pi)
         # enough cycles for the transient to decay below 1e-4 of the response
         cycles = max(60, int(math.ceil(2.5 * (2.0 * math.pi * f / w0) / zeta)))
-        a_num = osc.steady_state_oracle(p, f, cycles=cycles, steps_per_cycle=150)
+        a_num = steady_state_oracle(p, f, cycles=cycles, steps_per_cycle=150)
         a_ref = osc.amplitude(p, f)
         assert abs(a_num - a_ref) / a_ref < 1e-3
 
@@ -144,12 +145,12 @@ def test_invalid_params_rejected():
 
 
 def test_oracle_preconditions():
-    with pytest.raises(InvalidParams):
-        osc.steady_state_oracle(params(c=0.0), 1.0)
-    with pytest.raises(InvalidParams):
-        osc.steady_state_oracle(params(), 1.0, cycles=10)
-    with pytest.raises(InvalidParams):
-        osc.steady_state_oracle(params(), 1.0, steps_per_cycle=50)
+    with pytest.raises(ValueError):
+        steady_state_oracle(params(c=0.0), 1.0)
+    with pytest.raises(ValueError):
+        steady_state_oracle(params(), 1.0, cycles=10)
+    with pytest.raises(ValueError):
+        steady_state_oracle(params(), 1.0, steps_per_cycle=50)
 
 
 def test_grid_validation():
