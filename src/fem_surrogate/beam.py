@@ -18,7 +18,6 @@ eigensolver.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -28,18 +27,6 @@ from .oscillator import FrequencyGrid
 
 # The smallest positive normal double.
 _TINY = np.finfo(float).tiny
-
-
-def _check_normal(name: str, formula, context: str) -> None:
-    """InvalidSpec naming the quantity unless formula() is a positive,
-    finite, normal double; an OverflowError or ZeroDivisionError on the way
-    counts as out of range."""
-    try:
-        value = formula()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not _TINY <= value < math.inf:
-        raise InvalidSpec(f"{name} is out of double range ({value!r}) {context}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +60,6 @@ class CrossSection:
             raise InvalidSpec(f"width must be > 0, got {self.width}")
         if not (np.isfinite(self.height) and self.height > 0.0):
             raise InvalidSpec(f"height must be > 0, got {self.height}")
-        for name in ("area", "i_y", "i_z", "polar_moment", "torsion_constant"):
-            _check_normal(f"section {name}", partial(getattr, self, name),
-                          f"for width {self.width!r} and height {self.height!r}")
 
     @property
     def area(self) -> float:
@@ -135,7 +119,7 @@ class BeamSpec:
     section: CrossSection
     material: Material
     n_elements: int
-    axis_direction: np.ndarray       # unit 3-vector, global frame
+    axis_direction: np.ndarray       # 3-vector, global frame; stored normalized
     tip_load: np.ndarray             # harmonic force amplitude at the free end, N
     # Optional reference replacing the default global-z one in the section
     # frame (local y = ref x axis); pass a rotated local z to co-rotate a model.
@@ -151,19 +135,19 @@ class BeamSpec:
                 f"n_elements must be <= {MAX_ELEMENTS}, got {self.n_elements}: its band "
                 f"working set needs {band_model_bytes(self.n_elements) / 2 ** 30:.3g} GiB, "
                 f"over the {MEMORY_BUDGET / 2 ** 30:g} GiB budget")
-        # the element matrices divide by it and multiply by its square
-        _check_normal("element length cubed", lambda: self.element_length ** 3,
-                      f"for length {self.length!r} over {self.n_elements} elements")
         axis = np.asarray(self.axis_direction, dtype=float)
-        if axis.shape != (3,) or not np.all(np.isfinite(axis)):
-            raise InvalidSpec("axis_direction must be a finite 3-vector")
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+        if axis.shape != (3,) or not np.all(np.isfinite(axis)) or not axis.any():
             raise InvalidSpec(
-                f"axis_direction must be a unit vector, |a| = {np.linalg.norm(axis)!r}")
+                f"axis_direction must be a finite, nonzero 3-vector, got {self.axis_direction}")
+        with np.errstate(over="ignore"):
+            squares = axis @ axis
+        if not _TINY <= squares < math.inf:
+            # |a|^2 would leave the normal range: scale by the largest component first
+            axis = axis / np.abs(axis).max()
         load = np.asarray(self.tip_load, dtype=float)
         if load.shape != (3,) or not np.all(np.isfinite(load)):
             raise InvalidSpec("tip_load must be a finite 3-vector")
-        object.__setattr__(self, "axis_direction", axis)
+        object.__setattr__(self, "axis_direction", axis / np.linalg.norm(axis))
         object.__setattr__(self, "tip_load", load)
         if self.section_ref is not None:
             ref = np.asarray(self.section_ref, dtype=float)
@@ -266,6 +250,11 @@ def element_matrices(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     Local DOF order per node: (ux, uy, uz, rx, ry, rz).  Axial and torsion
     use linear shape functions; the two bending planes use cubic Hermite
     shape functions (no shear deformation, no rotary inertia).
+
+    Raises InvalidSpec when the spec's numbers leave double range on the
+    way: a formula that overflows or divides by zero, or, naming the
+    matrix, an entry that is not finite or a filled one that is not a
+    normal double.
     """
     le = spec.element_length
     mat, sec = spec.material, spec.section
@@ -274,18 +263,14 @@ def element_matrices(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
 
     k = np.zeros((12, 12))
     m = np.zeros((12, 12))
+    filled = np.zeros((12, 12), dtype=bool)
 
     def add(block, idx, target):
         target[np.ix_(idx, idx)] += block
+        filled[np.ix_(idx, idx)] = True
 
     two_node = np.array([[1.0, -1.0], [-1.0, 1.0]])
     consistent_2 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-
-    # axial (u1, u2) and torsion (rx1, rx2)
-    add(e_mod * area / le * two_node, [0, 6], k)
-    add(rho * area * le * consistent_2, [0, 6], m)
-    add(g_mod * sec.torsion_constant / le * two_node, [3, 9], k)
-    add(rho * sec.polar_moment * le * consistent_2, [3, 9], m)
 
     def bending_k(ei):
         return ei / le ** 3 * np.array([
@@ -303,20 +288,29 @@ def element_matrices(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
             [-13.0 * le, -3.0 * le ** 2, -22.0 * le, 4.0 * le ** 2],
         ])
 
-    # bending in the local x-y plane: DOFs (v1, rz1, v2, rz2)
-    add(bending_k(e_mod * sec.i_z), [1, 5, 7, 11], k)
-    add(bending_m(), [1, 5, 7, 11], m)
-
-    # bending in the local x-z plane: DOFs (w1, ry1, w2, ry2); the rotation
-    # enters as ry = -dw/dx, flipping the sign of every odd row/column.
+    # the rotation enters the x-z plane as ry = -dw/dx, flipping the sign of
+    # every odd row/column
     flip = np.diag([1.0, -1.0, 1.0, -1.0])
-    add(flip @ bending_k(e_mod * sec.i_y) @ flip, [2, 4, 8, 10], k)
-    add(flip @ bending_m() @ flip, [2, 4, 8, 10], m)
-
+    try:
+        # an entry that overflows to inf, or to nan in the flips, is caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            # axial (u1, u2) and torsion (rx1, rx2)
+            add(e_mod * area / le * two_node, [0, 6], k)
+            add(rho * area * le * consistent_2, [0, 6], m)
+            add(g_mod * sec.torsion_constant / le * two_node, [3, 9], k)
+            add(rho * sec.polar_moment * le * consistent_2, [3, 9], m)
+            # bending in the local x-y plane: DOFs (v1, rz1, v2, rz2)
+            add(bending_k(e_mod * sec.i_z), [1, 5, 7, 11], k)
+            add(bending_m(), [1, 5, 7, 11], m)
+            # bending in the local x-z plane: DOFs (w1, ry1, w2, ry2)
+            add(flip @ bending_k(e_mod * sec.i_y) @ flip, [2, 4, 8, 10], k)
+            add(flip @ bending_m() @ flip, [2, 4, 8, 10], m)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InvalidSpec(f"element matrices are out of double range for this spec "
+                          f"({type(exc).__name__})") from None
     for name, block in (("stiffness", k), ("mass", m)):
-        if not np.isfinite(block).all() or not block.any():
-            raise InvalidSpec(f"element {name} matrix is out of double range for this spec "
-                              f"({'not finite' if block.any() else 'all zero'})")
+        if not (np.isfinite(block).all() and (np.abs(block[filled]) >= _TINY).all()):
+            raise InvalidSpec(f"element {name} matrix is out of double range for this spec")
     return k, m
 
 
@@ -386,7 +380,9 @@ def rayleigh_damping(k, m, alpha: float, beta: float) -> np.ndarray:
             or alpha < 0.0 or beta < 0.0 or (alpha == 0.0 and beta == 0.0):
         raise InvalidDamping(
             f"need finite alpha, beta >= 0 and not both zero, got ({alpha}, {beta})")
-    return alpha * np.asarray(m) + beta * np.asarray(k)
+    # an entry that overflows is caught where the dynamic matrix is formed
+    with np.errstate(over="ignore", invalid="ignore"):
+        return alpha * np.asarray(m) + beta * np.asarray(k)
 
 
 def _band_system(kb, mb=None, cb=None) -> tuple[np.ndarray, ...]:
@@ -412,15 +408,22 @@ def static_solve(kb, f) -> np.ndarray:
 def _dynamic_matrix(bands, freqs: np.ndarray) -> np.ndarray:
     """Upper band storage of D = K - w^2 M + i w C at each frequency, shape
     (len(freqs), n, b+1); real when the damping term vanishes.  A missing M
-    or C counts as zero."""
+    or C counts as zero.  SolverError names the first frequency whose D is
+    not finite."""
     kb, mb, cb = bands
     w = (2.0 * math.pi * freqs)[:, None, None]
-    stiff = kb - w * w * (0.0 if mb is None else mb)
-    if cb is None or not np.any(w):
-        return stiff
-    dyn = np.empty(stiff.shape, dtype=complex)
-    dyn.real = stiff
-    dyn.imag = w * cb
+    with np.errstate(over="ignore", invalid="ignore"):
+        stiff = kb - w * w * (0.0 if mb is None else mb)
+        if cb is None or not np.any(w):
+            dyn = stiff
+        else:
+            dyn = np.empty(stiff.shape, dtype=complex)
+            dyn.real = stiff
+            dyn.imag = w * cb
+    bad = ~np.isfinite(dyn).all(axis=(1, 2))
+    if bad.any():
+        raise SolverError(f"K - w^2 M + i w C is out of double range at "
+                          f"f = {freqs[bad.argmax()]} Hz")
     return dyn
 
 

@@ -31,11 +31,6 @@ def _grid_point_bytes(widest: int) -> int:
     return 8 * 4 * max(200, widest) + 1024
 
 
-# --grid-points is bounded by the beam model's memory budget.
-GRID_POINT_BYTES = _grid_point_bytes(200)
-MAX_GRID_POINTS = beam_mod.MEMORY_BUDGET // GRID_POINT_BYTES
-
-
 def _vector3(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -246,18 +241,19 @@ def _check_out_dir(path) -> None:
         raise ConfigError(f"output directory is not writable: {existing}")
 
 
-def _grid(start, stop, n) -> osc_mod.FrequencyGrid:
-    if n > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"--grid-points must be <= {MAX_GRID_POINTS}, got {n}: about "
-            f"{GRID_POINT_BYTES} bytes per point would exceed the "
-            f"{beam_mod.MEMORY_BUDGET / 2 ** 30:g} GiB budget")
-    return osc_mod.FrequencyGrid.uniform(start, stop, n)
-
-
-def _grid_or(args, default_tuple) -> osc_mod.FrequencyGrid:
+def _grid(args, default_tuple, widest=200) -> osc_mod.FrequencyGrid:
+    """The grid from --grid-start/stop/points, each bound from its flag or
+    default_tuple.  More points than the beam model's memory budget allows
+    for a forward pass through a widest-unit layer is a ConfigError."""
     given = (args.grid_start, args.grid_stop, args.grid_points)
-    return _grid(*(d if v is None else v for v, d in zip(given, default_tuple)))
+    start, stop, n = (d if v is None else v for v, d in zip(given, default_tuple))
+    per_point = _grid_point_bytes(widest)
+    top = beam_mod.MEMORY_BUDGET // per_point
+    if n > top:
+        raise ConfigError(
+            f"--grid-points must be <= {top}, got {n}: about {per_point} bytes per point "
+            f"would exceed the {beam_mod.MEMORY_BUDGET / 2 ** 30:g} GiB budget")
+    return osc_mod.FrequencyGrid.uniform(start, stop, n)
 
 
 def _osc_params(args) -> osc_mod.OscillatorParams:
@@ -269,16 +265,10 @@ def _osc_params(args) -> osc_mod.OscillatorParams:
 def _beam_spec(args) -> beam_mod.BeamSpec:
     """The default beam, with each field whose flag is given replaced; the
     spec and its section and material check their fields as they are built."""
-    axis = args.axis
-    if axis is not None:
-        norm = np.linalg.norm(axis)
-        if not (np.isfinite(norm) and norm > 0.0):
-            raise ConfigError(f"--axis must be a nonzero vector of finite length, got {axis}")
-        axis = np.asarray(axis, dtype=float) / norm
     d = beam_mod.default_spec()
     return dataclasses.replace(
         d, **_given(length=args.length, n_elements=args.n_elements,
-                    axis_direction=axis, tip_load=args.tip_load),
+                    axis_direction=args.axis, tip_load=args.tip_load),
         section=dataclasses.replace(d.section, **_given(width=args.width, height=args.height)),
         material=dataclasses.replace(d.material, **_given(
             youngs_modulus=args.youngs_modulus, poisson_ratio=args.poisson_ratio,
@@ -293,8 +283,8 @@ def _damping_or_default(args, spec) -> tuple[float, float]:
 
 def _experiment_grid(args) -> osc_mod.FrequencyGrid:
     """The experiment's grid, each bound from its flag or the default."""
-    return _grid_or(args, osc_mod.DEFAULT_GRID if args.experiment == "example1"
-                    else beam_mod.DEFAULT_GRID)
+    return _grid(args, osc_mod.DEFAULT_GRID if args.experiment == "example1"
+                 else beam_mod.DEFAULT_GRID)
 
 
 def _ground_truth(args, grid) -> tuple[np.ndarray, dict]:
@@ -369,7 +359,7 @@ def cmd_predict(args) -> int:
         raise ConfigError("grid mode needs --out for the curve CSV")
     else:
         _check_out_path(args.out)
-        grid = _grid_or(args, (lo, hi, 200))
+        grid = _grid(args, (lo, hi, 200), max(net.layer_sizes))
     freqs = grid.values
     if freqs[0] < lo or freqs[-1] > hi:
         what = (f"{freqs[0]} Hz is" if len(freqs) == 1

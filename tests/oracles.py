@@ -3,7 +3,9 @@
 - steady_state_oracle: fixed-step RK4 time integration of the driven damped
   oscillator, a check of the closed-form oscillator.amplitude;
 - grad_check: central finite differences of the MSE loss, a check of the
-  analytic mlp.backward.
+  analytic mlp.backward;
+- modal_response: modal superposition of the Rayleigh-damped frame, a check
+  of the beam's band assembly, damping and sweep solve.
 
 Each reaches its answer by another method than the code it checks.  They
 raise plain ValueError on a bad argument and RuntimeError when the
@@ -107,3 +109,18 @@ def grad_check(net, x, targets) -> float:
         err = abs(analytic[i] - numeric) / max(1e-12, abs(analytic[i]) + abs(numeric))
         worst = max(worst, err)
     return worst
+
+
+def modal_response(k, m, f, alpha: float, beta: float, freqs) -> np.ndarray:
+    """Displacement amplitudes (len(freqs), n) of K, M (dense) under the load
+    F with Rayleigh damping C = alpha M + beta K, by modal superposition:
+    the undamped modes phi_i (M-orthonormal, from scipy.linalg.eigh)
+    decouple the damped system too, so
+
+        u(w) = sum_i phi_i phi_i^T F / (w_i^2 - w^2 + i w (alpha + beta w_i^2))
+
+    (Clough & Penzien, Dynamics of Structures, ch. 12)."""
+    import scipy.linalg
+    w2, phi = scipy.linalg.eigh(k, m)
+    w = 2.0 * math.pi * np.asarray(freqs, dtype=float)[:, None]
+    return ((phi.T @ f) / (w2 - w * w + 1j * w * (alpha + beta * w2))) @ phi.T

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fem_surrogate.errors import DimensionMismatch, InvalidDamping, InvalidSpec, Singular
+from fem_surrogate.errors import (DimensionMismatch, InvalidDamping, InvalidSpec, Singular,
+                                  SolverError)
 from fem_surrogate import beam, dataset
 from fem_surrogate.numerics import band_ldlt, band_to_dense
 from fem_surrogate import oscillator as osc
+from oracles import modal_response
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 
@@ -49,15 +52,52 @@ def test_mesh_tilted_axis_and_load_placement():
 def test_spec_validation_names_field():
     with pytest.raises(InvalidSpec, match="n_elements"):
         straight_spec(n_elements=1)
-    with pytest.raises(InvalidSpec, match="axis_direction"):
-        beam.BeamSpec(1.0, beam.CrossSection(0.03, 0.02), beam.STEEL, 4,
-                      axis_direction=np.array([1.0, 1.0, 0.0]),
-                      tip_load=np.zeros(3))
+    for axis in ([0.0, 0.0, 0.0], [math.inf, 0.0, 0.0], [1.0, 0.0]):
+        with pytest.raises(InvalidSpec, match="axis_direction"):
+            beam.BeamSpec(1.0, beam.CrossSection(0.03, 0.02), beam.STEEL, 4,
+                          axis_direction=np.array(axis), tip_load=np.zeros(3))
     with pytest.raises(InvalidSpec, match="length"):
         beam.BeamSpec(-1.0, beam.CrossSection(0.03, 0.02), beam.STEEL, 4,
                       axis_direction=X_AXIS, tip_load=np.zeros(3))
     with pytest.raises(InvalidSpec, match="poisson"):
         beam.Material(200e9, 0.5, 8000.0)
+
+
+def test_spec_normalizes_any_finite_nonzero_axis():
+    def axis(a):
+        return beam.BeamSpec(1.0, beam.CrossSection(0.03, 0.02), beam.STEEL, 4,
+                             axis_direction=np.array(a), tip_load=np.zeros(3)).axis_direction
+
+    a = np.array([0.3, -1.0, 2.0])
+    npt.assert_array_equal(axis(a), a / np.linalg.norm(a))
+    npt.assert_array_equal(axis(axis(a)), axis(a))
+    # |a|^2 underflows or overflows: scaled by the largest component first
+    npt.assert_array_equal(axis([1e-170, 1e-170, 1e-170]), axis([1.0, 1.0, 1.0]))
+    npt.assert_array_equal(axis([1e200, 1.0, -1.0]), [1.0, 1e-200, -1e-200])
+    npt.assert_array_equal(axis([1.7e308, -1.7e308, 0.0]), axis([1.0, -1.0, 0.0]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fields, named", [
+    ({"length": 1e-200}, "ZeroDivisionError"),            # le^3 underflows to 0
+    ({"length": 1e200}, "OverflowError"),                 # le^3 overflows
+    ({"width": 1e-200}, "stiffness"),                     # i_z underflows to 0
+    ({"youngs_modulus": 1e-303}, "stiffness"),            # 2 E I_y / le is subnormal
+    ({"density": 5e-324}, "mass"),                        # rho A le underflows to 0
+    ({"length": 1e6, "density": 1.7e308}, "mass"),        # rho A le overflows
+])
+def test_element_matrices_out_of_double_range_name_the_matrix(fields, named):
+    spec = straight_spec()
+
+    def given(part):
+        return {k: v for k, v in fields.items() if k in vars(part)}
+
+    spec = dataclasses.replace(
+        spec, **given(spec), section=dataclasses.replace(spec.section, **given(spec.section)),
+        material=dataclasses.replace(spec.material, **given(spec.material)))
+    with pytest.raises(InvalidSpec, match="out of double range") as exc:
+        beam.element_matrices(spec)
+    assert named in str(exc.value)
 
 
 # --- element matrices vs shape-function integration ---------------------------
@@ -453,6 +493,29 @@ def test_default_sweep_matches_scipy_solve():
         assert np.abs(table[i] - ref).max() <= 1e-9 * ref.max()
 
 
+def test_default_sweep_matches_modal_superposition():
+    """The whole default sweep against the modal solution of the same K and
+    M: this checks the Rayleigh damping and the band build, not only the
+    solve (2.9e-9 at most, cell by cell)."""
+    spec = beam.default_spec()
+    alpha, beta = beam.default_damping(spec)
+    grid = beam.default_grid()
+    table = beam.frequency_sweep(spec, grid, (alpha, beta))
+    _, red = beam.reduced_system(spec)
+    ref = beam.max_displacements(modal_response(red.k, red.m, red.f, alpha, beta, grid.values))
+    npt.assert_allclose(table, ref, rtol=1e-7, atol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dynamic_matrix_out_of_double_range_names_the_frequency():
+    _, red = beam.reduced_system(beam.default_spec())
+    cb = beam.rayleigh_damping(red.kb, red.mb, 0.0, 1e300)  # overflows to inf
+    with pytest.raises(SolverError, match=r"out of double range at f = 3\.0 Hz"):
+        beam.harmonic_solve(red.kb, red.mb, cb, red.f, 3.0)
+    with pytest.raises(SolverError, match=r"at f = 0\.5 Hz"):
+        beam.harmonic_solve(red.kb, np.full_like(red.mb, 1e308), None, red.f, 0.5)
+
+
 def test_sweep_collects_every_singular_frequency(monkeypatch, tmp_path):
     grid = osc.FrequencyGrid.uniform(1.0, 40.0, 40)
     broken = grid.values[[0, 3, 15, 16, 20, 33, 39]]
@@ -532,6 +595,31 @@ def test_both_bending_plane_families_found():
         euler_bernoulli_cantilever_hz(spec, spec.section.i_z, 4.694091),
     ])
     npt.assert_allclose(freqs, expected, rtol=0.01)
+
+
+def cantilever_mode_constants(n):
+    """The first n roots of cos(x) cosh(x) = -1, the clamped-free bending
+    mode constants beta_i L; root i lies within 0.5 of (i - 1/2) pi."""
+    from scipy.optimize import brentq
+    return [brentq(lambda x: math.cos(x) + 1.0 / math.cosh(x),
+                   (i - 0.5) * math.pi - 0.5, (i - 0.5) * math.pi + 0.5, xtol=1e-14)
+            for i in range(1, n + 1)]
+
+
+def test_axial_and_torsional_modes_match_closed_forms():
+    # x-aligned default beam: below 1300 Hz lie 5 + 4 bending modes of the two
+    # planes, the first torsion mode (650 Hz) and the first axial one (1228 Hz)
+    spec = straight_spec()
+    sec, mat, length = spec.section, spec.material, spec.length
+    bending = [euler_bernoulli_cantilever_hz(spec, i_area, c)
+               for i_area in (sec.i_y, sec.i_z) for c in cantilever_mode_constants(6)]
+    torsion = math.sqrt(mat.shear_modulus * sec.torsion_constant
+                        / (mat.density * sec.polar_moment)) / (4.0 * length)
+    axial = math.sqrt(mat.youngs_modulus / mat.density) / (4.0 * length)
+    expected = sorted([f for f in bending if f < 1300.0] + [torsion, axial])
+    assert len(expected) == 11
+    assert torsion == pytest.approx(649.7, abs=0.1) and axial == pytest.approx(1227.9, abs=0.1)
+    npt.assert_allclose(beam.natural_frequencies(spec, 1300.0), expected, rtol=1e-3)
 
 
 def test_mesh_convergence_of_frequencies():

@@ -97,13 +97,28 @@ def test_n_elements_bound_from_memory_model(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["generate", "eval", "predict"])
 def test_grid_points_bound_from_memory_model(tmp_path, capsys, command, beam_model):
-    top = cli.MAX_GRID_POINTS
-    assert top * cli.GRID_POINT_BYTES <= beam.MEMORY_BUDGET < (top + 1) * cli.GRID_POINT_BYTES
+    top = beam.MEMORY_BUDGET // cli._grid_point_bytes(200)
     out = tmp_path / "x.csv"
     argv = {"generate": ["generate", "--experiment", "example1", "--out", str(out)],
             "eval": ["eval", "--experiment", "example2", "--out-dir", str(tmp_path)],
             "predict": ["predict", "--model", str(beam_model), "--out", str(out)]}[command]
     assert cli.main(argv + ["--grid-points", str(top + 1)]) == 2
+    assert f"--grid-points must be <= {top}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_grid_points_bound_follows_the_models_width(tmp_path, capsys, monkeypatch,
+                                                            beam_model):
+    # the bound used to assume a 200-unit layer whatever model was loaded, so
+    # a wide net's full-grid forward pass could run out of memory
+    _, input_scaler, target_scaler, meta = mlp.load_model(beam_model)
+    wide = tmp_path / "wide.model"
+    mlp.save_model(mlp.init([1, 2000, 3], seed=0), input_scaler, target_scaler, wide, meta)
+    monkeypatch.setattr(mlp, "forward", lambda *a, **k: pytest.fail("forward ran"))
+    top = beam.MEMORY_BUDGET // cli._grid_point_bytes(2000)
+    out = tmp_path / "curve.csv"
+    assert cli.main(["predict", "--model", str(wide), "--grid-points", str(top + 1),
+                     "--out", str(out)]) == 2
     assert f"--grid-points must be <= {top}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -156,10 +171,12 @@ def _beam_domain_walk():
                 yield flag, ",".join(value if j == i else b for j, b in enumerate(base))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flag, value", list(_beam_domain_walk()))
 def test_beam_domain_walk_gives_normal_outputs_or_a_typed_exit(tmp_path, capsys, flag, value):
     # 15 of these 84 used to exit 1 with a traceback (--length, --width and
-    # --height) or exit 0 with nan rows (--tip-load 1.7e308)
+    # --height) or exit 0 with nan rows (--tip-load 1.7e308); 13 more printed
+    # numpy overflow warnings (--density, --alpha, --beta and --axis)
     out = tmp_path / "x.csv"
     rc = cli.main(["generate", "--experiment", "example2", "--grid-points", "20",
                    "--n-elements", "4", "--out", str(out), flag, value])
@@ -179,6 +196,37 @@ def test_beam_sweep_out_of_double_range_names_the_frequency(tmp_path, capsys):
                      "--tip-load", "1e308,1e308,1e308"]) == 3
     assert "sweep output at f = 1.0 Hz is out of double range" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flag, value, freq", [
+    ("--beta", "1e300", "1.0"), ("--alpha", "1.7e308", "1.0"),
+    ("--density", "1.7e308", "40.0"),  # the mode finder's first probe
+])
+def test_beam_dynamic_matrix_out_of_double_range_names_the_frequency(tmp_path, capsys,
+                                                                     flag, value, freq):
+    # each used to exit 3 as a DimensionMismatch ("matrix entries must be
+    # finite") after numpy overflow warnings
+    out = tmp_path / "x.csv"
+    assert cli.main(["generate", "--experiment", "example2", "--grid-points", "20",
+                     "--n-elements", "4", "--out", str(out), flag, value]) == 3
+    assert (f"K - w^2 M + i w C is out of double range at f = {freq} Hz"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_beam_axis_with_a_squared_norm_out_of_range(tmp_path):
+    # both used to exit 2: the squared norm underflowed to 0 or overflowed
+    def generate(axis):
+        out = tmp_path / f"{axis}.csv"
+        assert cli.main(["generate", "--experiment", "example2", "--grid-points", "20",
+                         "--n-elements", "4", "--out", str(out), "--axis", axis]) == 0
+        return out
+    assert generate("1e-170,1e-170,1e-170").read_bytes() == generate("1,1,1").read_bytes()
+    _, along_x = dataset.read_csv(generate("1,0,0"))
+    npt.assert_allclose(dataset.read_csv(generate("1e200,1,1"))[1][:, 1:], along_x[:, 1:],
+                        rtol=1e-12)
 
 
 def test_beam_zero_channel_stays_legal(tmp_path):
