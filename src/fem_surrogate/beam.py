@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDamping, InvalidSpec, Singular, SolverError
+from .errors import ConfigError, DataError, SolverError
 from .numerics import band_ldlt, band_ldlt_refined, band_to_dense
 from .oscillator import FrequencyGrid
 
@@ -37,11 +37,11 @@ class Material:
 
     def __post_init__(self):
         if not (np.isfinite(self.youngs_modulus) and self.youngs_modulus > 0.0):
-            raise InvalidSpec(f"youngs_modulus must be > 0, got {self.youngs_modulus}")
+            raise ConfigError(f"youngs_modulus must be > 0, got {self.youngs_modulus}")
         if not (np.isfinite(self.poisson_ratio) and 0.0 <= self.poisson_ratio < 0.5):
-            raise InvalidSpec(f"poisson_ratio must be in [0, 0.5), got {self.poisson_ratio}")
+            raise ConfigError(f"poisson_ratio must be in [0, 0.5), got {self.poisson_ratio}")
         if not (np.isfinite(self.density) and self.density > 0.0):
-            raise InvalidSpec(f"density must be > 0, got {self.density}")
+            raise ConfigError(f"density must be > 0, got {self.density}")
 
     @property
     def shear_modulus(self) -> float:
@@ -57,9 +57,9 @@ class CrossSection:
 
     def __post_init__(self):
         if not (np.isfinite(self.width) and self.width > 0.0):
-            raise InvalidSpec(f"width must be > 0, got {self.width}")
+            raise ConfigError(f"width must be > 0, got {self.width}")
         if not (np.isfinite(self.height) and self.height > 0.0):
-            raise InvalidSpec(f"height must be > 0, got {self.height}")
+            raise ConfigError(f"height must be > 0, got {self.height}")
 
     @property
     def area(self) -> float:
@@ -127,17 +127,17 @@ class BeamSpec:
 
     def __post_init__(self):
         if not (np.isfinite(self.length) and self.length > 0.0):
-            raise InvalidSpec(f"length must be > 0, got {self.length}")
+            raise ConfigError(f"length must be > 0, got {self.length}")
         if self.n_elements < 2:
-            raise InvalidSpec(f"n_elements must be >= 2, got {self.n_elements}")
+            raise ConfigError(f"n_elements must be >= 2, got {self.n_elements}")
         if self.n_elements > MAX_ELEMENTS:
-            raise InvalidSpec(
+            raise ConfigError(
                 f"n_elements must be <= {MAX_ELEMENTS}, got {self.n_elements}: its band "
                 f"working set needs {band_model_bytes(self.n_elements) / 2 ** 30:.3g} GiB, "
                 f"over the {MEMORY_BUDGET / 2 ** 30:g} GiB budget")
         axis = np.asarray(self.axis_direction, dtype=float)
         if axis.shape != (3,) or not np.all(np.isfinite(axis)) or not axis.any():
-            raise InvalidSpec(
+            raise ConfigError(
                 f"axis_direction must be a finite, nonzero 3-vector, got {self.axis_direction}")
         with np.errstate(over="ignore"):
             squares = axis @ axis
@@ -146,13 +146,15 @@ class BeamSpec:
             axis = axis / np.abs(axis).max()
         load = np.asarray(self.tip_load, dtype=float)
         if load.shape != (3,) or not np.all(np.isfinite(load)):
-            raise InvalidSpec("tip_load must be a finite 3-vector")
-        object.__setattr__(self, "axis_direction", axis / np.linalg.norm(axis))
+            raise ConfigError("tip_load must be a finite 3-vector")
+        axis = axis / np.linalg.norm(axis)
+        axis[np.abs(axis) < _TINY] = 0.0  # a subnormal component would leak into ux
+        object.__setattr__(self, "axis_direction", axis)
         object.__setattr__(self, "tip_load", load)
         if self.section_ref is not None:
             ref = np.asarray(self.section_ref, dtype=float)
             if ref.shape != (3,) or not np.all(np.isfinite(ref)):
-                raise InvalidSpec("section_ref must be a finite 3-vector")
+                raise ConfigError("section_ref must be a finite 3-vector")
             object.__setattr__(self, "section_ref", ref)
 
     @property
@@ -210,7 +212,7 @@ def section_frame(axis, section_ref=None) -> np.ndarray:
     ly = np.cross(ref, a)
     norm = np.linalg.norm(ly)
     if norm < 1e-10:
-        raise InvalidSpec("section_ref is parallel to axis_direction")
+        raise ConfigError("section_ref is parallel to axis_direction")
     ly /= norm
     lz = np.cross(a, ly)
     return np.vstack([a, ly, lz])
@@ -251,7 +253,7 @@ def element_matrices(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
     use linear shape functions; the two bending planes use cubic Hermite
     shape functions (no shear deformation, no rotary inertia).
 
-    Raises InvalidSpec when the spec's numbers leave double range on the
+    Raises ConfigError when the spec's numbers leave double range on the
     way: a formula that overflows or divides by zero, or, naming the
     matrix, an entry that is not finite or a filled one that is not a
     normal double.
@@ -306,11 +308,11 @@ def element_matrices(spec: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
             add(flip @ bending_k(e_mod * sec.i_y) @ flip, [2, 4, 8, 10], k)
             add(flip @ bending_m() @ flip, [2, 4, 8, 10], m)
     except (OverflowError, ZeroDivisionError) as exc:
-        raise InvalidSpec(f"element matrices are out of double range for this spec "
+        raise ConfigError(f"element matrices are out of double range for this spec "
                           f"({type(exc).__name__})") from None
     for name, block in (("stiffness", k), ("mass", m)):
         if not (np.isfinite(block).all() and (np.abs(block[filled]) >= _TINY).all()):
-            raise InvalidSpec(f"element {name} matrix is out of double range for this spec")
+            raise ConfigError(f"element {name} matrix is out of double range for this spec")
     return k, m
 
 
@@ -374,11 +376,11 @@ class ReducedSystem:
 
 def rayleigh_damping(k, m, alpha: float, beta: float) -> np.ndarray:
     """C = alpha*M + beta*K, entry by entry, so band storage in gives band
-    storage out.  Raises InvalidDamping unless alpha and beta are finite,
+    storage out.  Raises ConfigError unless alpha and beta are finite,
     >= 0 and not both zero."""
     if not (math.isfinite(alpha) and math.isfinite(beta)) \
             or alpha < 0.0 or beta < 0.0 or (alpha == 0.0 and beta == 0.0):
-        raise InvalidDamping(
+        raise ConfigError(
             f"need finite alpha, beta >= 0 and not both zero, got ({alpha}, {beta})")
     # an entry that overflows is caught where the dynamic matrix is formed
     with np.errstate(over="ignore", invalid="ignore"):
@@ -387,11 +389,11 @@ def rayleigh_damping(k, m, alpha: float, beta: float) -> np.ndarray:
 
 def _band_system(kb, mb=None, cb=None) -> tuple[np.ndarray, ...]:
     """K and, where given, M and C (else None) as float upper band storage;
-    raises DimensionMismatch unless they share one (n, b+1) shape."""
+    raises DataError unless they share one (n, b+1) shape."""
     mats = [None if x is None else np.asarray(x, dtype=float) for x in (kb, mb, cb)]
     shapes = [x.shape for x in mats if x is not None]
     if len(shapes[0]) != 2 or any(s != shapes[0] for s in shapes):
-        raise DimensionMismatch(
+        raise DataError(
             f"K, M and C must be upper band storage (n, b+1) of one shape, got {shapes}")
     return tuple(mats)
 
@@ -401,7 +403,7 @@ def static_solve(kb, f) -> np.ndarray:
     harmonic solve at w = 0, in real arithmetic."""
     u, failures = _solve_frequencies(_band_system(kb), f, np.zeros(1))
     if failures:
-        raise Singular(f"stiffness matrix singular at {failures[0]}")
+        raise SolverError(f"stiffness matrix singular at {failures[0]}")
     return u[0]
 
 
@@ -433,7 +435,7 @@ def _solve_frequencies(bands, f, freqs: np.ndarray) -> tuple[np.ndarray, list[st
     dyn = _dynamic_matrix(bands, freqs)
     rhs = np.asarray(f, dtype=dyn.dtype)
     if rhs.shape != dyn.shape[1:2]:
-        raise DimensionMismatch(f"load shape {rhs.shape} does not match {dyn.shape[1]} DOFs")
+        raise DataError(f"load shape {rhs.shape} does not match {dyn.shape[1]} DOFs")
     u, fac = band_ldlt_refined(dyn, np.broadcast_to(rhs, dyn.shape[:2]))
     failures = [f"f = {freqs[s]} Hz: {fac.failure(s)}" for s in np.flatnonzero(fac.bad >= 0)]
     return u, failures
@@ -451,7 +453,7 @@ def harmonic_solve(kb, mb, cb, f, freq_hz: float) -> np.ndarray:
     bands = _band_system(kb, mb, cb)
     u, failures = _solve_frequencies(bands, f, np.array([freq_hz], dtype=float))
     if failures:
-        raise Singular(f"dynamic matrix singular at {failures[0]}")
+        raise SolverError(f"dynamic matrix singular at {failures[0]}")
     return u[0].astype(complex, copy=False)
 
 
@@ -465,7 +467,7 @@ def max_displacements(u) -> np.ndarray:
     """
     u = np.asarray(u)
     if u.ndim not in (1, 2) or u.shape[-1] == 0 or u.shape[-1] % 6:
-        raise DimensionMismatch(
+        raise DataError(
             f"expected 6 free-DOF values per free node in each row, got shape {u.shape}")
     return np.abs(u.reshape(*u.shape[:-1], -1, 6)[..., :3]).max(axis=-2)
 
@@ -493,7 +495,7 @@ def frequency_sweep(spec: BeamSpec, grid: FrequencyGrid,
     One assembly, then one batched band solve per _BATCH grid frequencies
     (each with one refinement step), so memory stays flat in the grid size.
     A singular frequency does not stop the sweep; every failure is collected
-    and one Singular names up to five of them.  A row that is not finite,
+    and one SolverError names up to five of them.  A row that is not finite,
     holds a nonzero subnormal, or is all 0 under a nonzero load has left
     double range: SolverError names the first such frequency.
     """
@@ -506,7 +508,7 @@ def frequency_sweep(spec: BeamSpec, grid: FrequencyGrid,
         rows.append(max_displacements(u))
         failures += failed
     if failures:
-        raise Singular(f"{len(failures)} sweep frequencies failed ({'; '.join(failures[:5])})")
+        raise SolverError(f"{len(failures)} sweep frequencies failed ({'; '.join(failures[:5])})")
     table = np.concatenate(rows)
     bad = ~np.isfinite(table).all(axis=1) | ((table > 0.0) & (table < _TINY)).any(axis=1)
     if red.f.any():
@@ -520,14 +522,14 @@ def frequency_sweep(spec: BeamSpec, grid: FrequencyGrid,
 
 def _negative_pivots(bands, shifts: np.ndarray) -> np.ndarray:
     """Count of negative LDL^T pivots of K - w^2 M at each shift (Hz), from
-    one batched elimination per _BATCH shifts; a zero pivot raises Singular."""
+    one batched elimination per _BATCH shifts; a zero pivot raises SolverError."""
     counts = []
     for start in range(0, shifts.size, _BATCH):
         batch = shifts[start:start + _BATCH]
         pivots = band_ldlt(_dynamic_matrix(bands, batch)).d
         zero = (pivots == 0.0).any(axis=1)
         if zero.any():
-            raise Singular(f"K - w^2 M has a zero pivot at f = {batch[zero.argmax()]} Hz")
+            raise SolverError(f"K - w^2 M has a zero pivot at f = {batch[zero.argmax()]} Hz")
         counts.append(np.count_nonzero(pivots < 0.0, axis=1))
     return np.concatenate(counts)
 
@@ -546,15 +548,15 @@ def natural_frequencies(spec: BeamSpec, f_max: float, n_roots: int | None = None
     (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987): every round
     counts at _SHIFTS evenly spaced shifts inside every open bracket, at
     most _BATCH shifts per elimination, until each bracket is within a
-    relative 1e-6.  A zero pivot at a probed f raises Singular.  Once the
+    relative 1e-6.  A zero pivot at a probed f raises SolverError.  Once the
     brackets separate, a root's probes stay inside its own bracket, and a
     member's pivots do not depend on the rest of its batch, so leaving the
     higher brackets closed changes none of the lower roots.
     """
     if not f_max > 0.0:
-        raise InvalidSpec(f"f_max must be > 0, got {f_max}")
+        raise ConfigError(f"f_max must be > 0, got {f_max}")
     if n_roots is not None and n_roots < 1:
-        raise InvalidSpec(f"n_roots must be >= 1, got {n_roots}")
+        raise ConfigError(f"n_roots must be >= 1, got {n_roots}")
     _, red = reduced_system(spec)
     bands = (red.kb, red.mb, None)
     counts = {0.0: 0}  # K is positive definite
@@ -602,4 +604,4 @@ def default_damping(spec: BeamSpec) -> tuple[float, float]:
         if freqs:
             return 0.0, 2.0 * _DAMPING_RATIO / (2.0 * math.pi * freqs[0])
         f_hi *= 4.0
-    raise InvalidSpec(f"no natural frequency found below {f_hi / 4.0} Hz")
+    raise ConfigError(f"no natural frequency found below {f_hi / 4.0} Hz")

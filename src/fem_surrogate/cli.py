@@ -1,9 +1,9 @@
 """Command-line front end: generate ground-truth data, train surrogates,
 predict, and run the full evaluation pipelines.
 
-Exit codes: 0 success, else the exit_code of the package error raised
-(errors.py: 2 configuration error, 3 data/solver error, 4 training
-divergence, 5 unreadable model file), and 3 for an OS error on a file.
+Exit codes: 0 success, else the exit_code of the error class raised, one
+class per code (errors.py: 2 ConfigError, 3 DataError or SolverError, 4
+TrainingError, 5 ModelFileError), and 3 for an OS error on a file.
 stdout carries machine-readable results; diagnostics go to stderr.
 """
 

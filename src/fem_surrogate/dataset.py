@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParams,
-    MalformedRow,
-    TooFewSamples,
-)
+from .errors import ConfigError, DataError
 
 # 17 significant digits: lossless round-trip for IEEE doubles.
 FLOAT_FMT = "%.17g"
@@ -33,12 +28,12 @@ def split(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarr
     Returns sorted (train_idx, test_idx) with |test| = round(test_fraction * n).
     """
     if not 0.0 < test_fraction < 1.0:
-        raise InvalidParams(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if n < 5:
-        raise TooFewSamples(f"need at least 5 samples to split, got {n}")
+        raise DataError(f"need at least 5 samples to split, got {n}")
     n_test = int(round(test_fraction * n))
     if n_test < 1 or n_test > n - 1:
-        raise TooFewSamples(
+        raise DataError(
             f"test_fraction {test_fraction} of {n} samples leaves an empty partition")
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
@@ -77,7 +72,7 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        """Inverse of to_dict.  Raises InvalidParams unless the min-max bounds
+        """Inverse of to_dict.  Raises ConfigError unless the min-max bounds
         are finite, of one length and ordered (col_min <= col_max), and the
         log10 floor is unset or a finite number >= 0."""
         scheme = d["scheme"]
@@ -86,16 +81,16 @@ class Scaler:
             hi = np.asarray(d["col_max"], dtype=float)
             if lo.ndim != 1 or lo.shape != hi.shape or not (
                     np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
-                raise InvalidParams(
+                raise ConfigError(
                     f"min-max bounds must be finite, of one length and ordered, got "
                     f"col_min={lo.tolist()} col_max={hi.tolist()}")
             return cls(scheme, col_min=lo, col_max=hi)
         if scheme == LOG10:
             floor = d["floor_eps"]
             if floor is not None and not (math.isfinite(floor) and floor >= 0.0):
-                raise InvalidParams(f"floor_eps must be finite and >= 0, got {floor}")
+                raise ConfigError(f"floor_eps must be finite and >= 0, got {floor}")
             return cls(scheme, floor_eps=floor)
-        raise InvalidParams(f"unknown scaling scheme {scheme!r}")
+        raise ConfigError(f"unknown scaling scheme {scheme!r}")
 
 
 def _as_columns(values) -> np.ndarray:
@@ -103,7 +98,7 @@ def _as_columns(values) -> np.ndarray:
     if v.ndim == 1:
         v = v[:, None]
     if v.ndim != 2 or v.shape[0] == 0:
-        raise DimensionMismatch(f"expected (n,) or (n, k) values, got shape {np.shape(values)}")
+        raise DataError(f"expected (n,) or (n, k) values, got shape {np.shape(values)}")
     return v
 
 
@@ -115,14 +110,14 @@ def scale_fit(values, scheme: str) -> Scaler:
         return Scaler(scheme, col_min=v.min(axis=0), col_max=v.max(axis=0))
     if scheme == LOG10:
         return Scaler(scheme, floor_eps=LOG10_FLOOR)
-    raise InvalidParams(f"unknown scaling scheme {scheme!r}")
+    raise ConfigError(f"unknown scaling scheme {scheme!r}")
 
 
 def scale_apply(scaler: Scaler, values) -> np.ndarray:
     v = _as_columns(values)
     if scaler.scheme == LINEAR_MINMAX:
         if v.shape[1] != scaler.col_min.shape[0]:
-            raise DimensionMismatch(
+            raise DataError(
                 f"scaler fitted on {scaler.col_min.shape[0]} columns, got {v.shape[1]}")
         span = scaler.col_max - scaler.col_min
         span = np.where(span > 0.0, span, 1.0)  # constant column maps to 0
@@ -136,7 +131,7 @@ def scale_invert(scaler: Scaler, scaled) -> np.ndarray:
     v = _as_columns(scaled)
     if scaler.scheme == LINEAR_MINMAX:
         if v.shape[1] != scaler.col_min.shape[0]:
-            raise DimensionMismatch(
+            raise DataError(
                 f"scaler fitted on {scaler.col_min.shape[0]} columns, got {v.shape[1]}")
         span = scaler.col_max - scaler.col_min
         span = np.where(span > 0.0, span, 1.0)
@@ -178,26 +173,26 @@ def read_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a sweep written by write_csv as (freqs (n,), outputs (n, k)).
 
     Every value must parse and be finite and >= 0; a bad row raises
-    MalformedRow with its 1-based data row index.
+    DataError with its 1-based data row index.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln != ""]
     if not lines:
-        raise MalformedRow("empty file, missing header")
+        raise DataError("empty file, missing header")
     n_cols = len(lines[0].split(","))
     if n_cols < 2 or not lines[0].startswith("freq_hz"):
-        raise MalformedRow(f"unexpected header {lines[0]!r}")
+        raise DataError(f"unexpected header {lines[0]!r}")
     rows = []
     for i, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
         if len(parts) != n_cols:
-            raise MalformedRow(f"row {i}: expected {n_cols} columns, got {len(parts)}")
+            raise DataError(f"row {i}: expected {n_cols} columns, got {len(parts)}")
         try:
             vals = [float(p) for p in parts]
         except ValueError as exc:
-            raise MalformedRow(f"row {i}: {exc}") from exc
+            raise DataError(f"row {i}: {exc}") from exc
         if not all(math.isfinite(v) and v >= 0.0 for v in vals):
-            raise MalformedRow(f"row {i}: values must be finite and >= 0, got {ln!r}")
+            raise DataError(f"row {i}: values must be finite and >= 0, got {ln!r}")
         rows.append(vals)
     table = np.array(rows).reshape(len(rows), n_cols)
     return table[:, 0], table[:, 1:]

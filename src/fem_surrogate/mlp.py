@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LINEAR_MINMAX, Scaler
-from .errors import (
-    CorruptModel,
-    DimensionMismatch,
-    EmptyBatch,
-    InvalidArchitecture,
-    InvalidParams,
-    NanLoss,
-    VersionMismatch,
-)
+from .errors import ConfigError, DataError, ModelFileError, TrainingError
 
 MODEL_FORMAT_VERSION = 1
 
@@ -56,12 +48,12 @@ class Mlp:
     (layer_sizes[l+1], layer_sizes[l]), and biases[l], of shape
     (layer_sizes[l+1],), are views into it, so an in-place update of theta
     updates the layers.  The constructor wraps the given vector without
-    copying it; a vector of the wrong size raises DimensionMismatch."""
+    copying it; a vector of the wrong size raises DataError."""
 
     def __init__(self, layer_sizes, theta: np.ndarray):
         size = _n_params(layer_sizes)
         if theta.shape != (size,):
-            raise DimensionMismatch(
+            raise DataError(
                 f"parameter vector of shape {theta.shape} does not fit layers "
                 f"{list(layer_sizes)}, which need ({size},)")
         self.layer_sizes, self.theta = list(layer_sizes), theta
@@ -98,14 +90,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
-            raise InvalidParams(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+            raise ConfigError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise InvalidParams(
+            raise ConfigError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
-            raise InvalidParams(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
-            raise InvalidParams(f"epochs must be >= 0, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
 @dataclass
@@ -143,9 +135,9 @@ def init(layer_sizes, seed: int) -> Mlp:
     """Weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero."""
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2:
-        raise InvalidArchitecture(f"need at least input and output layers, got {sizes}")
+        raise ConfigError(f"need at least input and output layers, got {sizes}")
     if any(s < 1 for s in sizes):
-        raise InvalidArchitecture(f"all layer sizes must be >= 1, got {sizes}")
+        raise ConfigError(f"all layer sizes must be >= 1, got {sizes}")
     rng = np.random.default_rng(seed)
     net = Mlp(sizes, np.zeros(_n_params(sizes)))
     for w in net.weights:
@@ -160,7 +152,7 @@ def forward(net: Mlp, x) -> np.ndarray:
     single = x_arr.ndim == 1
     a = x_arr[None, :] if single else x_arr
     if a.ndim != 2 or a.shape[1] != net.layer_sizes[0]:
-        raise DimensionMismatch(
+        raise DataError(
             f"input width {a.shape[-1] if a.ndim else 0} != {net.layer_sizes[0]}")
     last = net.n_layers - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -174,9 +166,9 @@ def mse(predictions, targets) -> float:
     p = np.asarray(predictions, dtype=float)
     t = np.asarray(targets, dtype=float)
     if p.shape != t.shape:
-        raise DimensionMismatch(f"shape mismatch {p.shape} vs {t.shape}")
+        raise DataError(f"shape mismatch {p.shape} vs {t.shape}")
     if p.size == 0:
-        raise EmptyBatch("mse over an empty batch")
+        raise DataError("mse over an empty batch")
     return float(np.mean((p - t) ** 2))
 
 
@@ -192,10 +184,10 @@ def backward(net: Mlp, x, targets, out: Gradients) -> Gradients:
         t = t[None, :]
     if x.shape[0] != t.shape[0] or x.shape[1] != net.layer_sizes[0] \
             or t.shape[1] != net.layer_sizes[-1]:
-        raise DimensionMismatch(
+        raise DataError(
             f"batch shapes {x.shape}, {t.shape} do not fit layers {net.layer_sizes}")
     if x.shape[0] == 0:
-        raise EmptyBatch("backward over an empty batch")
+        raise DataError("backward over an empty batch")
     _check_size(net, out)
 
     last = net.n_layers - 1
@@ -218,7 +210,7 @@ def backward(net: Mlp, x, targets, out: Gradients) -> Gradients:
 
 def _check_size(net: Mlp, grads: Gradients) -> None:
     if grads.flat.size != net.theta.size:
-        raise DimensionMismatch(
+        raise DataError(
             f"{grads.flat.size} gradient entries for {net.theta.size} parameters")
 
 
@@ -262,15 +254,15 @@ def adam_step(net: Mlp, grads: Gradients, state: AdamState,
 def train(net: Mlp, data: TrainSplit, config: TrainConfig,
           record: bool) -> tuple[Mlp, TrainHistory]:
     """Seeded-shuffled minibatch epochs.  With record, appends the full-batch
-    train and test MSE to the history after every epoch and raises NanLoss
+    train and test MSE to the history after every epoch and raises TrainingError
     naming the epoch if the loss goes non-finite.  Without it, the history
     stays empty and the per-epoch check is that theta is finite instead; the
     trained parameters are the same bits either way."""
     x, y = np.asarray(data.x_train, dtype=float), np.asarray(data.y_train, dtype=float)
     if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"x/y sample counts differ: {x.shape[0]} vs {y.shape[0]}")
+        raise DataError(f"x/y sample counts differ: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] == 0:
-        raise EmptyBatch("empty training set")
+        raise DataError("empty training set")
     rng = np.random.default_rng(config.seed)
     state = adam_init(net) if config.optimizer == "adam" else None
     n = x.shape[0]
@@ -297,11 +289,11 @@ def train(net: Mlp, data: TrainSplit, config: TrainConfig,
             if record:
                 train_loss = mse(forward(net, x), y)
                 if not np.isfinite(train_loss):
-                    raise NanLoss(f"training loss became non-finite at epoch {epoch}")
+                    raise TrainingError(f"training loss became non-finite at epoch {epoch}")
                 history.train_mse.append(train_loss)
                 history.test_mse.append(mse(forward(net, data.x_test), data.y_test))
             elif not np.isfinite(net.theta).all():
-                raise NanLoss(f"parameters became non-finite at epoch {epoch}")
+                raise TrainingError(f"parameters became non-finite at epoch {epoch}")
     return net, history
 
 
@@ -336,12 +328,12 @@ def load_model(path) -> tuple[Mlp, Scaler, Scaler, dict]:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptModel(f"cannot parse model file {path}: {exc}") from exc
+        raise ModelFileError(f"cannot parse model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("kind") != "fem-surrogate-mlp":
-        raise CorruptModel(f"{path} is not a fem-surrogate model file")
+        raise ModelFileError(f"{path} is not a fem-surrogate model file")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise VersionMismatch(
+        raise ModelFileError(
             f"model format version {version!r}, expected {MODEL_FORMAT_VERSION}")
     try:
         sizes = [int(s) for s in doc["layer_sizes"]]
@@ -371,4 +363,4 @@ def load_model(path) -> tuple[Mlp, Scaler, Scaler, dict]:
         return (Mlp(sizes, theta), input_scaler,
                 Scaler.from_dict(doc["target_scaler"]), doc.get("meta", {}))
     except (KeyError, ValueError, TypeError) as exc:
-        raise CorruptModel(f"malformed model file {path}: {exc}") from exc
+        raise ModelFileError(f"malformed model file {path}: {exc}") from exc

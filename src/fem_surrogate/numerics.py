@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import DimensionMismatch
+from .errors import DataError
 
 # Pivot smaller than this fraction of the largest entry counts as singular.
 _PIVOT_TOL = 1e-13
@@ -82,7 +82,7 @@ def band_to_dense(ab) -> np.ndarray:
     entries past the matrix's edge are ignored."""
     ab = np.asarray(ab)
     if ab.ndim != 2:
-        raise DimensionMismatch(f"expected upper band storage (n, b+1), got {ab.shape}")
+        raise DataError(f"expected upper band storage (n, b+1), got {ab.shape}")
     n = ab.shape[0]
     a = np.zeros((n, n), ab.dtype)
     for t in range(min(ab.shape[1], n)):
@@ -107,9 +107,9 @@ def band_ldlt(ab) -> LdltFactors:
     """
     ab = np.asarray(ab)
     if ab.ndim != 3 or ab.shape[2] < 1:
-        raise DimensionMismatch(f"expected upper band storage (batch, n, b+1), got {ab.shape}")
+        raise DataError(f"expected upper band storage (batch, n, b+1), got {ab.shape}")
     if not np.all(np.isfinite(ab)):
-        raise DimensionMismatch("matrix entries must be finite")
+        raise DataError("matrix entries must be finite")
     batch, n, width = ab.shape
     b = width - 1
     dtype = complex if np.iscomplexobj(ab) else float
@@ -150,7 +150,7 @@ def _as_columns(rhs, batch: int, n: int) -> np.ndarray:
     """Right-hand sides (batch, n) or (batch, n, m) as (batch, n, m)."""
     rhs = np.asarray(rhs)
     if rhs.ndim not in (2, 3) or rhs.shape[:2] != (batch, n):
-        raise DimensionMismatch(
+        raise DataError(
             f"right-hand side shape {rhs.shape} does not match {batch} systems of size {n}")
     return rhs if rhs.ndim == 3 else rhs[:, :, None]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, SolverError, UnboundedResonance
+from .errors import ConfigError, SolverError
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,11 @@ class OscillatorParams:
         for name in ("mass", "stiffness"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0.0):
-                raise InvalidParams(f"{name} must be finite and > 0, got {v}")
+                raise ConfigError(f"{name} must be finite and > 0, got {v}")
         if not (np.isfinite(self.damping) and self.damping >= 0.0):
-            raise InvalidParams(f"damping must be finite and >= 0, got {self.damping}")
+            raise ConfigError(f"damping must be finite and >= 0, got {self.damping}")
         if not (np.isfinite(self.force_amplitude) and self.force_amplitude >= 0.0):
-            raise InvalidParams(
+            raise ConfigError(
                 f"force_amplitude must be finite and >= 0, got {self.force_amplitude}")
 
     @property
@@ -53,18 +53,18 @@ class FrequencyGrid:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
-            raise InvalidParams("grid must be a non-empty 1-D array")
+            raise ConfigError("grid must be a non-empty 1-D array")
         if not np.all(np.isfinite(v)):
-            raise InvalidParams("grid frequencies must be finite")
+            raise ConfigError("grid frequencies must be finite")
         if v[0] < 0.0:
-            raise InvalidParams("grid frequencies must be >= 0")
+            raise ConfigError("grid frequencies must be >= 0")
         if v.size > 1 and not np.all(np.diff(v) > 0.0):
-            raise InvalidParams("grid frequencies must be strictly increasing")
+            raise ConfigError("grid frequencies must be strictly increasing")
 
     @classmethod
     def uniform(cls, start_hz: float, stop_hz: float, n_points: int) -> "FrequencyGrid":
         if n_points < 1:
-            raise InvalidParams(f"n_points must be >= 1, got {n_points}")
+            raise ConfigError(f"n_points must be >= 1, got {n_points}")
         return cls(np.linspace(start_hz, stop_hz, n_points))
 
     def __len__(self) -> int:
@@ -83,17 +83,18 @@ def default_grid() -> FrequencyGrid:
 
 def amplitude(params: OscillatorParams, freq_hz: float) -> float:
     """Closed-form steady-state displacement amplitude in meters.  Raises
-    SolverError when the parameters take it out of double range: a term
-    overflows or divides by zero, or the amplitude comes out non-finite, or
-    0 under a nonzero force."""
+    SolverError, naming freq_hz, at undamped resonance or when the
+    parameters take it out of double range: a term overflows or divides by
+    zero, or the amplitude comes out non-finite, or 0 under a nonzero
+    force."""
     if not (np.isfinite(freq_hz) and freq_hz >= 0.0):
-        raise InvalidParams(f"freq_hz must be finite and >= 0, got {freq_hz}")
+        raise ConfigError(f"freq_hz must be finite and >= 0, got {freq_hz}")
     w = 2.0 * math.pi * freq_hz
     m, c, f0 = params.mass, params.damping, params.force_amplitude
     try:
         w0 = params.omega0
         if c == 0.0 and abs(w - w0) / w0 < 1e-12:
-            raise UnboundedResonance(
+            raise SolverError(
                 f"undamped oscillator driven at resonance (f = {freq_hz} Hz)")
         amp = (f0 / m) / math.sqrt((w0 * w0 - w * w) ** 2 + (c * w / m) ** 2)
     except (OverflowError, ZeroDivisionError):
@@ -118,9 +119,6 @@ def sweep_oscillator(params: OscillatorParams, grid: FrequencyGrid) -> np.ndarra
     """Amplitude at every grid frequency, as an (n, 1) output array."""
     out = np.empty((len(grid), 1))
     for i, f in enumerate(grid.values):
-        try:
-            out[i, 0] = amplitude(params, float(f))
-        except UnboundedResonance as exc:
-            raise UnboundedResonance(f"sweep failed at f = {f} Hz: {exc}") from exc
+        out[i, 0] = amplitude(params, float(f))
     return out
 

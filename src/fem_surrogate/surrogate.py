@@ -19,7 +19,7 @@ import numpy as np
 from . import beam as beam_mod
 from . import dataset, mlp
 from . import oscillator as osc_mod
-from .errors import NanLoss
+from .errors import TrainingError
 from .svgplot import plot_curves
 
 PEAK_PROMINENCE_FACTOR = 3.0  # prominent = prominence above 3x channel median
@@ -27,8 +27,10 @@ PEAK_TOL_STEPS = 1  # a predicted peak matches a true one within 1 grid step
 
 # The two experiments: layer sizes, whose last entry is the output count,
 # and epochs.  Both train with mlp.TrainConfig's defaults (Adam, lr 1e-3,
-# batch 16): plain SGD plateaus at the curve mean on the sharp-resonance
-# target at any stable learning rate.
+# batch 16).  Measured at seed 42 and 1 BLAS thread, plain SGD at lr 0.1
+# beat Adam on example 1 at 2,000 epochs (scaled test MSE 6.3e-4 against
+# 1.8e-3, peak matched) and trailed it on example 2 at 500 (4.6e-2 against
+# 1.8e-2, no peak matched); at lr 0.3 it diverged on both.
 EXPERIMENTS = {
     "example1": {"layers": [1, 100, 100, 1], "epochs": 20000},
     "example2": {"layers": [1, 200, 200, 3], "epochs": 10000},
@@ -210,7 +212,7 @@ def fit_surrogate(experiment: str, freqs, outputs, layer_sizes, train_config: ml
     the net -> final train/test MSE in scaled space.  train_config.seed
     seeds the split as well as the init and the shuffling.  record asks
     mlp.train for the per-epoch loss history; the model and the final MSEs
-    do not depend on it.  Raises NanLoss if a final MSE is not finite."""
+    do not depend on it.  Raises TrainingError if a final MSE is not finite."""
     train_idx, test_idx = dataset.split(len(freqs), test_fraction, train_config.seed)
     f_train, y_train = freqs[train_idx], outputs[train_idx]
     input_scaler = dataset.scale_fit(f_train, dataset.LINEAR_MINMAX)
@@ -228,7 +230,7 @@ def fit_surrogate(experiment: str, freqs, outputs, layer_sizes, train_config: ml
         train_mse = mlp.mse(mlp.forward(net, data.x_train), data.y_train)
         test_mse = mlp.mse(mlp.forward(net, data.x_test), data.y_test)
     if not (np.isfinite(train_mse) and np.isfinite(test_mse)):
-        raise NanLoss(f"final scaled MSE is not finite: train {train_mse}, test {test_mse}")
+        raise TrainingError(f"final scaled MSE is not finite: train {train_mse}, test {test_mse}")
     # The input scaler is min-max over the train split: its ends are the
     # trained frequency range.
     meta = {"experiment": experiment, "freq_min_hz": float(input_scaler.col_min[0]),

@@ -143,6 +143,18 @@ def test_oscillator_out_of_double_range_exits_3(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_undamped_oscillator_at_resonance_exits_3(tmp_path, capsys):
+    # the first grid point is the default oscillator's resonance, sqrt(k/m) / 2 pi
+    f_res = repr(math.sqrt(986.96) / (2.0 * math.pi))
+    out = tmp_path / "x.csv"
+    assert cli.main(["generate", "--experiment", "example1", "--damping-c", "0",
+                     "--grid-start", f_res, "--grid-stop", "10", "--grid-points", "3",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        f"error: undamped oscillator driven at resonance (f = {f_res} Hz)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_oscillator_out_of_double_range_exits_3_before_training(tmp_path, capsys,
                                                                      monkeypatch):
     # used to exit 4 once training met the nan targets
@@ -205,8 +217,8 @@ def test_beam_sweep_out_of_double_range_names_the_frequency(tmp_path, capsys):
 ])
 def test_beam_dynamic_matrix_out_of_double_range_names_the_frequency(tmp_path, capsys,
                                                                      flag, value, freq):
-    # each used to exit 3 as a DimensionMismatch ("matrix entries must be
-    # finite") after numpy overflow warnings
+    # each used to exit 3 as a data error ("matrix entries must be finite")
+    # after numpy overflow warnings
     out = tmp_path / "x.csv"
     assert cli.main(["generate", "--experiment", "example2", "--grid-points", "20",
                      "--n-elements", "4", "--out", str(out), flag, value]) == 3
@@ -217,7 +229,9 @@ def test_beam_dynamic_matrix_out_of_double_range_names_the_frequency(tmp_path, c
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_beam_axis_with_a_squared_norm_out_of_range(tmp_path):
-    # both used to exit 2: the squared norm underflowed to 0 or overflowed
+    # the first two used to exit 2, the squared norm underflowing to 0 or
+    # overflowing; 1.7e308,1,1 exited 3, its other components normalising to
+    # subnormals
     def generate(axis):
         out = tmp_path / f"{axis}.csv"
         assert cli.main(["generate", "--experiment", "example2", "--grid-points", "20",
@@ -227,6 +241,7 @@ def test_beam_axis_with_a_squared_norm_out_of_range(tmp_path):
     _, along_x = dataset.read_csv(generate("1,0,0"))
     npt.assert_allclose(dataset.read_csv(generate("1e200,1,1"))[1][:, 1:], along_x[:, 1:],
                         rtol=1e-12)
+    assert generate("1.7e308,1,1").read_bytes() == generate("1,0,0").read_bytes()
 
 
 def test_beam_zero_channel_stays_legal(tmp_path):
@@ -932,15 +947,8 @@ def test_non_finite_damping_exits_2(tmp_path, capsys, monkeypatch, command, flag
 
 # Every package error and the exit status it gives; a new error class must be
 # added here.
-EXIT_CODES = {
-    "ConfigError": 2, "InvalidParams": 2, "InvalidSpec": 2, "InvalidDamping": 2,
-    "InvalidArchitecture": 2,
-    "DataError": 3, "DimensionMismatch": 3, "TooFewSamples": 3, "MalformedRow": 3,
-    "EmptyBatch": 3,
-    "SolverError": 3, "Singular": 3, "UnboundedResonance": 3,
-    "TrainingError": 4, "NanLoss": 4,
-    "ModelFileError": 5, "VersionMismatch": 5, "CorruptModel": 5,
-}
+EXIT_CODES = {"ConfigError": 2, "DataError": 3, "SolverError": 3, "TrainingError": 4,
+              "ModelFileError": 5}
 
 
 def test_every_error_class_has_its_exit_code():

@@ -2,11 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fem_surrogate.errors import (
-    InvalidParams,
-    MalformedRow,
-    TooFewSamples,
-)
+from fem_surrogate.errors import ConfigError, DataError
 from fem_surrogate import dataset
 
 
@@ -39,11 +35,11 @@ def test_split_differs_between_seeds():
 
 
 def test_split_too_few_samples():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(DataError, match="need at least 5 samples"):
         dataset.split(4, 0.2, seed=0)
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(DataError, match="leaves an empty partition"):
         dataset.split(5, 0.01, seed=0)  # rounds to empty test
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError, match="test_fraction must be in"):
         dataset.split(10, 1.5, seed=0)
 
 
@@ -155,10 +151,10 @@ def test_csv_survives_17_digit_value(tmp_path):
 def test_csv_malformed_rows_report_index(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("freq_hz,amplitude\n1.0,2.0\n3.0\n")
-    with pytest.raises(MalformedRow, match="row 2"):
+    with pytest.raises(DataError, match="row 2"):
         dataset.read_csv(path)
     path.write_text("freq_hz,amplitude\n1.0,abc\n")
-    with pytest.raises(MalformedRow, match="row 1"):
+    with pytest.raises(DataError, match="row 1"):
         dataset.read_csv(path)
 
 
@@ -167,7 +163,7 @@ def test_csv_malformed_rows_report_index(tmp_path):
 def test_csv_rejects_out_of_domain_rows(tmp_path, bad_row):
     path = tmp_path / "bad.csv"
     path.write_text(f"freq_hz,amplitude\n1.0,1e-3\n{bad_row}\n3.0,1e-3\n")
-    with pytest.raises(MalformedRow, match="row 2"):
+    with pytest.raises(DataError, match="row 2"):
         dataset.read_csv(path)
 
 

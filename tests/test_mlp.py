@@ -4,15 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fem_surrogate.errors import (
-    CorruptModel,
-    DimensionMismatch,
-    EmptyBatch,
-    InvalidArchitecture,
-    InvalidParams,
-    NanLoss,
-    VersionMismatch,
-)
+from fem_surrogate.errors import ConfigError, DataError, ModelFileError, TrainingError
 from fem_surrogate import dataset, mlp
 from oracles import grad_check
 
@@ -39,9 +31,9 @@ def test_init_shapes_and_bounds():
 
 
 def test_init_rejects_bad_architectures():
-    with pytest.raises(InvalidArchitecture):
+    with pytest.raises(ConfigError, match="need at least input and output layers"):
         mlp.init([4], 0)
-    with pytest.raises(InvalidArchitecture):
+    with pytest.raises(ConfigError, match="all layer sizes must be >= 1"):
         mlp.init([1, 0, 1], 0)
 
 
@@ -82,7 +74,7 @@ def test_forward_batch_matches_loop():
 
 def test_forward_dimension_mismatch():
     net = mlp.init([2, 3, 1], 0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="input width 3 != 2"):
         mlp.forward(net, np.zeros(3))
 
 
@@ -95,9 +87,9 @@ def test_mse_values():
 
 
 def test_mse_errors():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="shape mismatch"):
         mlp.mse([1.0, 2.0], [1.0])
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(DataError, match="mse over an empty batch"):
         mlp.mse([], [])
 
 
@@ -305,7 +297,7 @@ def test_train_nan_loss_reports_epoch():
     net = mlp.init([1, 4, 1], 0)
     cfg = mlp.TrainConfig(optimizer="sgd", learning_rate=1e6, batch_size=2,
                           epochs=50, seed=0)
-    with pytest.raises(NanLoss, match="epoch"):
+    with pytest.raises(TrainingError, match="epoch"):
         mlp.train(net, mlp.TrainSplit(x, y, x, y), cfg, record=True)
 
 
@@ -330,19 +322,19 @@ def test_train_without_record_reports_divergence_epoch():
     net = mlp.init([1, 4, 1], 0)
     cfg = mlp.TrainConfig(optimizer="sgd", learning_rate=1e6, batch_size=2,
                           epochs=50, seed=0)
-    with pytest.raises(NanLoss, match="epoch"):
+    with pytest.raises(TrainingError, match="epoch"):
         mlp.train(net, mlp.TrainSplit(x, y, x, y), cfg, record=False)
 
 
 def test_train_config_validation():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError, match="optimizer must be"):
         mlp.TrainConfig(optimizer="rmsprop")
     for lr in (0.0, np.inf, np.nan):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="learning_rate must be finite and > 0"):
             mlp.TrainConfig(learning_rate=lr)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError, match="batch_size must be >= 1"):
         mlp.TrainConfig(batch_size=0)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ConfigError, match="epochs must be >= 0"):
         mlp.TrainConfig(epochs=-1)
 
 
@@ -450,7 +442,7 @@ def test_constructor_wraps_theta_and_checks_size():
     assert net.theta is theta
     assert net.weights[0][0, 0] == 2.0 and net.biases[0][0] == 1.0
     for bad in (np.zeros(4), np.zeros((2, 1))):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="does not fit layers"):
             mlp.Mlp([1, 1], bad)
 
 
@@ -468,9 +460,9 @@ def test_gradients_are_zero_in_the_net_layout():
 def test_optimizer_steps_reject_gradients_of_another_size():
     net = mlp.init([1, 3, 1], 0)
     g = mlp.Gradients(mlp.init([1, 3], 0))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="gradient entries for"):
         mlp.sgd_step(net, g, 0.1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="gradient entries for"):
         mlp.adam_step(net, g, mlp.adam_init(net), mlp.TrainConfig(epochs=1))
 
 
@@ -531,7 +523,7 @@ def test_load_rejects_wrong_version(tmp_path):
     _save_small_model(path)
     doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
     path.write_text(doc)
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(ModelFileError, match="model format version 99"):
         mlp.load_model(path)
 
 
@@ -539,12 +531,12 @@ def test_load_rejects_truncated_file(tmp_path):
     path = tmp_path / "model.json"
     _save_small_model(path)
     path.write_text(path.read_text()[: len(path.read_text()) // 2])
-    with pytest.raises(CorruptModel):
+    with pytest.raises(ModelFileError, match="cannot parse model file"):
         mlp.load_model(path)
 
 
 def test_load_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"hello": "world"}')
-    with pytest.raises(CorruptModel):
+    with pytest.raises(ModelFileError, match="is not a fem-surrogate model file"):
         mlp.load_model(path)

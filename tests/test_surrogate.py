@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.signal import find_peaks
 
-from fem_surrogate.errors import NanLoss
+from fem_surrogate.errors import TrainingError
 from fem_surrogate import beam, dataset, mlp, surrogate
 from fem_surrogate import oscillator as osc
 
@@ -98,7 +98,7 @@ def test_fit_surrogate_rejects_non_finite_final_mse(monkeypatch):
     monkeypatch.setattr(mlp, "init", huge_output)
     grid = osc.FrequencyGrid.uniform(0.1, 10.0, 20)
     cfg = mlp.TrainConfig(epochs=0, seed=1)
-    with pytest.raises(NanLoss, match="final"):
+    with pytest.raises(TrainingError, match="final"):
         surrogate.fit_surrogate("example1", grid.values,
                                 osc.sweep_oscillator(osc.DEFAULT_PARAMS, grid),
                                 [1, 4, 1], cfg, 0.2, record=False)
